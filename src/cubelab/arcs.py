@@ -23,10 +23,9 @@ import numpy as np
 
 from cubelab.expsums import cubic_gauss_sum
 from cubelab.genfun import (
-    QuadratureError,
     WeylSumSpec,
     _batch_rule,
-    _gauss_rule,
+    _gauss_legendre,
     _smooth_count,
     fractional_linear_phase,
     spec_from_params,
@@ -196,33 +195,6 @@ def evaluate_integrand(alpha: float, integrand: ArcIntegrand) -> complex:
     return out
 
 
-def _adaptive_complex(fn, lo: float, hi: float, tol: float, cycles: float,
-                      label: str, max_nodes: int = 400_000) -> complex:
-    """Panel-doubling 16-pt Gauss-Legendre for a scalar complex integrand."""
-    nodes, weights = _gauss_rule(16)
-    panels = max(2, 2 * (int(cycles / 2) + 1))  # even, so the center is an edge
-
-    def evaluate(m: int) -> complex:
-        edges = np.linspace(lo, hi, m + 1)
-        half = 0.5 * (edges[1] - edges[0])
-        total = 0j
-        for k in range(m):
-            mid = 0.5 * (edges[k] + edges[k + 1])
-            for x, w in zip(nodes, weights):
-                total += w * fn(mid + half * x)
-        return total * half
-
-    prev = evaluate(panels)
-    while True:
-        panels *= 2
-        if panels * 16 > max_nodes:
-            raise QuadratureError(f"quadrature on {label} failed to reach tol={tol}")
-        cur = evaluate(panels)
-        if abs(cur - prev) <= tol:
-            return cur
-        prev = cur
-
-
 def integrate_over_arcs(integrand: ArcIntegrand, dissection: ArcDissection,
                         tol: float = 1e-9) -> complex:
     """Sum of per-arc adaptive quadratures, per-arc tolerance tol/#arcs."""
@@ -237,10 +209,10 @@ def integrate_over_arcs(integrand: ArcIntegrand, dissection: ArcDissection,
         if arc.length == 0.0:
             continue
         cycles = arc.length * freq
-        val = _adaptive_complex(
-            lambda a: evaluate_integrand(a, integrand),
-            arc.lo, arc.hi, per_arc, cycles,
-            label=f"arc ({arc.label.a}/{arc.label.q})",
+        val, _ = _gauss_legendre(
+            lambda g, w: sum(wk * evaluate_integrand(a, integrand) for a, wk in zip(g, w)),
+            arc.lo, arc.hi, max(2, 2 * (int(cycles / 2) + 1)),  # even: the center is an edge
+            400_000, lambda cur, prev: abs(cur - prev) <= per_arc,
         )
         reals.append(val.real)
         imags.append(val.imag)
@@ -280,39 +252,23 @@ def truncated_singular_integral(n: int, params: Parameters, kind: str, C: float 
 
     def kernel_batch(betas: np.ndarray) -> np.ndarray:
         if kind == "u":
-            v = _batch_rule(betas, P, 2 * P, inner_tol)
+            v, _ = _batch_rule(betas, P, 2 * P, inner_tol)
             return C * h0 * h0 * v * v
-        w2 = _batch_rule(betas, 0.0, 2 * P, inner_tol)
-        w1 = _batch_rule(betas, 0.0, P, inner_tol)
-        wr = _batch_rule(betas, 0.0, R, inner_tol)
+        w2, _ = _batch_rule(betas, 0.0, 2 * P, inner_tol)
+        w1, _ = _batch_rule(betas, 0.0, P, inner_tol)
+        wr, _ = _batch_rule(betas, 0.0, R, inner_tol)
         return (w2 * w2 - w1 * w1) * wr * wr
 
-    nodes, weights = _gauss_rule(16)
     cycles = 2 * half * n + 2 * half * (2 * P) ** 3
     panels = max(4, min(int(cycles / 2) + 4, 4096))
-
-    def evaluate(m: int) -> complex:
-        edges = np.linspace(-half, half, m + 1)
-        mid = 0.5 * (edges[:-1] + edges[1:])
-        hw = 0.5 * (edges[1] - edges[0])
-        betas = (mid[:, None] + hw * nodes[None, :]).ravel()
-        vals = kernel_batch(betas) * np.exp(-2j * np.pi * n * betas)
-        return complex(vals @ np.tile(weights, m)) * hw
-
-    prev = evaluate(panels)
-    for _ in range(10):
-        panels *= 2
-        if panels * 16 > 600_000:
-            raise QuadratureError(f"singular integral (kind={kind}) did not converge")
-        cur = evaluate(panels)
-        if abs(cur - prev) <= tol * max(abs(cur), 1e-300):
-            if abs(cur.imag) > 1e-6 * max(abs(cur), 1e-300):
-                raise ArithmeticError(
-                    f"singular integral has imaginary residue {cur.imag:.3e}"
-                )
-            return cur.real
-        prev = cur
-    raise QuadratureError(f"singular integral (kind={kind}) did not converge")
+    cur, _ = _gauss_legendre(
+        lambda b, w: complex((kernel_batch(b) * np.exp(-2j * np.pi * n * b) * w).sum()),
+        -half, half, panels, min(600_000, 16 * panels * 2**10),  # at most 10 doublings
+        lambda cur, prev: abs(cur - prev) <= tol * max(abs(cur), 1e-300),
+    )
+    if abs(cur.imag) > 1e-6 * max(abs(cur), 1e-300):
+        raise ArithmeticError(f"singular integral has imaginary residue {cur.imag:.3e}")
+    return cur.real
 
 
 def major_arc_approximant(alpha: float, dissection: ArcDissection, kind: str,

@@ -301,8 +301,6 @@ def build_parser() -> _Parser:
     def common(p, *, params=False):
         p.add_argument("--out", type=str, default=None)
         p.add_argument("--format", choices=("csv", "json"), default="csv")
-        p.add_argument("--workers", type=int, default=1,
-                       help="parallelism hint; kernels are vectorized in-process")
         if params:  # None so a --config file can supply them; see _params_from
             p.add_argument("--N", type=int, default=None)
             p.add_argument("--theta", type=float, default=None)
@@ -404,8 +402,6 @@ def main(argv: list[str] | None = None) -> int:
     try:
         args = parser.parse_args(argv)
         _apply_config(args)
-        if getattr(args, "workers", 1) < 1:
-            raise PreconditionError("--workers must be >= 1")
         em = Emitter(args, args.command)
         args.func(args, em)
         em.finish(_config_echo(args))

@@ -4,9 +4,12 @@ Phase accuracy is the whole game here: alpha*x^3 mod 1 computed as a naive
 double product loses every significant digit once x^3 approaches 2^53, so
 the sums run through an exact product-splitting reduction (Dekker two-term
 products, with a big-integer fallback above the float-exact cube range).
-The oscillatory integrals use panel-doubling Gauss-Legendre with panel
-counts seeded by the oscillation count; Z stays small enough at desk scale
-that no Filon-type machinery is warranted.
+Every integral in this module and in arcs goes through one driver,
+_gauss_legendre: 16-point Gauss-Legendre on a panel grid whose count,
+seeded by the oscillation count, doubles until the caller's stopping test
+holds or its node budget runs out (QuadratureError).  The oscillatory
+integrals v and w are _batch_rule at a single beta; Z stays small enough
+at desk scale that no Filon-type machinery is warranted.
 """
 
 from __future__ import annotations
@@ -221,95 +224,92 @@ def weyl_sum(alpha: float, spec: WeylSumSpec) -> complex:
     return complex(np.exp(2j * np.pi * phases).sum())
 
 
-@lru_cache(maxsize=8)
-def _gauss_rule(order: int):
-    nodes, weights = np.polynomial.legendre.leggauss(order)
-    return nodes, weights
+_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(16)
 
 
-def _oscillatory_integral(beta: float, lo: float, hi: float, tol: float,
-                          max_nodes: int = 2_000_000) -> OscIntegralValue:
-    """integral over [lo, hi] of e(beta * g^3) dg by panel-doubled 16-pt GL."""
-    if tol <= 0:
-        raise PreconditionError(f"tol must be positive, got {tol}")
-    nodes, weights = _gauss_rule(16)
-    cycles = abs(beta) * abs(hi**3 - lo**3)
-    panels = max(4, min(int(cycles / 2) + 4, max_nodes // 32))
+def _gauss_legendre(integrand, lo: float, hi: float, panels: int, max_nodes: int,
+                    converged):
+    """Panel-doubling 16-point Gauss-Legendre on [lo, hi]: the one quadrature loop.
 
-    def evaluate(m: int) -> complex:
+    integrand(g, w) gets the flat node array g of the current panel grid and
+    the matching weights w, and returns sum_j w_j f(g_j) (per row, for a
+    vector-valued integrand); the rule is that sum times the panel
+    half-width.  The panel count starts at ``panels``, capped at half the
+    node budget, and doubles until converged(cur, prev) holds; a doubling
+    past max_nodes raises QuadratureError.  Returns (cur, prev).
+    """
+    panels = min(panels, max_nodes // 32)
+
+    def evaluate(m: int):
         edges = np.linspace(lo, hi, m + 1)
-        mid = 0.5 * (edges[:-1] + edges[1:])[:, None]
+        mid = 0.5 * (edges[:-1] + edges[1:])
         half = 0.5 * (edges[1] - edges[0])
-        g = mid + half * nodes[None, :]
-        vals = np.exp(2j * np.pi * beta * g**3)
-        return complex((vals * weights[None, :]).sum() * half)
+        g = (mid[:, None] + half * _GL_NODES[None, :]).ravel()
+        return integrand(g, np.tile(_GL_WEIGHTS, m)) * half
 
     prev = evaluate(panels)
     while True:
         panels *= 2
         if panels * 16 > max_nodes:
             raise QuadratureError(
-                f"no convergence to tol={tol} within {max_nodes} nodes "
-                f"(beta={beta}, range=[{lo}, {hi}])"
+                f"quadrature on [{lo}, {hi}] did not converge within {max_nodes} nodes"
             )
         cur = evaluate(panels)
-        err = abs(cur - prev)
-        if err <= tol:
-            return OscIntegralValue(beta=beta, Z=hi, value=cur, abs_error_estimate=err)
+        if converged(cur, prev):
+            return cur, prev
         prev = cur
+
+
+def _batch_rule(betas: np.ndarray, lo: float, hi: float, tol: float,
+                max_panels: int = 65_536) -> tuple[np.ndarray, np.ndarray]:
+    """integral over [lo, hi] of e(beta * g^3) dg for a whole array of beta.
+
+    One shared grid sized for the worst oscillation in the batch, doubled
+    until no value moves by more than tol; returns the values on the last
+    grid and on the one before it (their gap is the error estimate).
+    Evaluation is chunked over beta, in place, so the phase matrix stays
+    within 64 MB however large the batch is.
+    """
+    if tol <= 0:
+        raise PreconditionError(f"tol must be positive, got {tol}")
+    betas = np.asarray(betas, dtype=np.float64)
+    if len(betas) == 0:
+        return np.empty(0, dtype=np.complex128), np.empty(0, dtype=np.complex128)
+    cycles = float(np.abs(betas).max()) * abs(hi**3 - lo**3)
+
+    def integrand(g: np.ndarray, w: np.ndarray) -> np.ndarray:
+        g3 = g**3
+        out = np.empty(len(betas), dtype=np.complex128)
+        chunk = max(1, 4_000_000 // len(g3))
+        for start in range(0, len(betas), chunk):
+            z = 2j * np.pi * betas[start : start + chunk, None] * g3
+            np.exp(z, out=z)
+            z *= w
+            out[start : start + chunk] = z.sum(axis=1)
+        return out
+
+    return _gauss_legendre(integrand, lo, hi, max(4, int(cycles / 2) + 4), 16 * max_panels,
+                           lambda cur, prev: float(np.abs(cur - prev).max()) <= tol)
+
+
+def _oscillatory_value(beta: float, Z: float, lo: float, hi: float,
+                       tol: float) -> OscIntegralValue:
+    if Z <= 0:
+        raise PreconditionError(f"Z must be positive, got {Z}")
+    cur, prev = _batch_rule(np.array([beta]), lo, hi, tol, max_panels=2_000_000 // 16)
+    value = complex(cur[0])
+    return OscIntegralValue(beta=beta, Z=Z, value=value,
+                            abs_error_estimate=abs(value - complex(prev[0])))
 
 
 def v_integral(beta: float, Z: float, tol: float = 1e-10) -> OscIntegralValue:
     """integral from Z to 2Z of e(beta * g^3) dg."""
-    if Z <= 0:
-        raise PreconditionError(f"Z must be positive, got {Z}")
-    return _oscillatory_integral(beta, Z, 2 * Z, tol)
+    return _oscillatory_value(beta, Z, Z, 2 * Z, tol)
 
 
 def w_integral(beta: float, Z: float, tol: float = 1e-10) -> OscIntegralValue:
     """integral from 0 to Z of e(beta * g^3) dg."""
-    if Z <= 0:
-        raise PreconditionError(f"Z must be positive, got {Z}")
-    return _oscillatory_integral(beta, 0.0, Z, tol)
-
-
-def _batch_rule(betas: np.ndarray, lo: float, hi: float, tol: float,
-                max_panels: int = 65_536) -> np.ndarray:
-    """The oscillatory integral for a whole array of beta, shared GL grid.
-
-    One fixed rule sized for the worst oscillation in the batch, verified by
-    panel doubling; evaluation is chunked over beta so the phase matrix
-    stays within a few tens of megabytes however large the batch is.
-    """
-    betas = np.asarray(betas, dtype=np.float64)
-    if len(betas) == 0:
-        return np.empty(0, dtype=np.complex128)
-    nodes, weights = _gauss_rule(16)
-    cycles = float(np.abs(betas).max()) * abs(hi**3 - lo**3)
-    panels = max(4, int(cycles / 2) + 4)
-
-    def evaluate(m: int) -> np.ndarray:
-        edges = np.linspace(lo, hi, m + 1)
-        mid = 0.5 * (edges[:-1] + edges[1:])
-        half = 0.5 * (edges[1] - edges[0])
-        g3 = ((mid[:, None] + half * nodes[None, :]).ravel()) ** 3
-        w = np.tile(weights, m) * half
-        out = np.empty(len(betas), dtype=np.complex128)
-        chunk = max(1, 4_000_000 // len(g3))
-        for start in range(0, len(betas), chunk):
-            b = betas[start : start + chunk]
-            out[start : start + chunk] = np.exp(2j * np.pi * b[:, None] * g3[None, :]) @ w
-        return out
-
-    prev = evaluate(panels)
-    while True:
-        panels *= 2
-        if panels > max_panels:
-            raise QuadratureError("batched oscillatory integral exceeded its panel budget")
-        cur = evaluate(panels)
-        if float(np.abs(cur - prev).max()) <= tol:
-            return cur
-        prev = cur
+    return _oscillatory_value(beta, Z, 0.0, Z, tol)
 
 
 @lru_cache(maxsize=64)

@@ -19,6 +19,7 @@ __all__ = [
     "ResourceGuardError",
     "derive_parameters",
     "integer_cube_root",
+    "integer_root",
     "best_rational",
     "parse_config",
 ]
@@ -74,8 +75,9 @@ def _snap_integer(x: float) -> float:
     """Snap to the nearest integer when within 1e-9 relative.
 
     The derived scales bound integer summation ranges (x <= 2P, y <= R and
-    so on), so a value that is mathematically an integer must not flicker
-    to 5.999... under pow rounding and silently drop a term.
+    so on) and smoothness caps (prime <= R^eta), so a value that is
+    mathematically an integer must not flicker to 5.999... under pow
+    rounding and silently drop a term.
     """
     nearest = round(x)
     if nearest >= 1 and abs(x - nearest) <= 1e-9 * max(1.0, abs(x)):
@@ -127,23 +129,30 @@ def derive_parameters(
                       J=J, l_clamped=clamped)
 
 
-def integer_cube_root(n: int) -> int:
-    """Exact floor(n^(1/3)) for any nonnegative integer, no float error."""
+def integer_root(n: int, k: int) -> int:
+    """Exact floor(n^(1/k)) for any nonnegative integer n and k >= 1, no float error."""
     if n < 0:
         raise PreconditionError(f"n must be nonnegative, got {n}")
+    if k < 1:
+        raise PreconditionError(f"k must be >= 1, got {k}")
     if n == 0:
         return 0
     # Newton iteration on integers from an overshooting seed; terminates in
-    # O(log log n) steps and never undershoots en route.
-    x = 1 << ((n.bit_length() + 2) // 3)
+    # O(k + log log n) steps and never undershoots en route.
+    x = 1 << ((n.bit_length() + k - 1) // k)
     while True:
-        y = (2 * x + n // (x * x)) // 3
+        y = ((k - 1) * x + n // x ** (k - 1)) // k
         if y >= x:
             break
         x = y
-    while x * x * x > n:
+    while x**k > n:
         x -= 1
     return x
+
+
+def integer_cube_root(n: int) -> int:
+    """Exact floor(n^(1/3)) for any nonnegative integer, no float error."""
+    return integer_root(n, 3)
 
 
 def best_rational(alpha: float, q_max: int) -> Rational:

@@ -22,6 +22,7 @@ from cubelab.params import (
     PreconditionError,
     ResourceGuardError,
     integer_cube_root,
+    integer_root,
 )
 from cubelab.smooth import restricted_primes, smooth_interval_set, smooth_set
 
@@ -84,20 +85,6 @@ def _snap_to_rational(theta: float) -> Fraction | None:
     return None
 
 
-def _floor_root(value: int, k: int) -> int:
-    """Exact floor(value^(1/k)) for nonnegative integers."""
-    if value < 0:
-        raise PreconditionError("value must be nonnegative")
-    if value == 0:
-        return 0
-    x = int(round(value ** (1.0 / k))) + 2
-    while x**k > value:
-        x -= 1
-    while (x + 1) ** k <= value:
-        x += 1
-    return x
-
-
 def minicube_bound(n: int, theta: float) -> int:
     """floor(n^theta), certified.
 
@@ -110,7 +97,7 @@ def minicube_bound(n: int, theta: float) -> int:
         raise PreconditionError(f"n must be positive, got {n}")
     frac = _snap_to_rational(theta)
     if frac is not None:
-        return _floor_root(n**frac.numerator, frac.denominator)
+        return integer_root(n**frac.numerator, frac.denominator)
     cand = float(n) ** theta
     if abs(cand - round(cand)) < 1e-9 * max(cand, 1.0):
         with mp.workdps(40):
@@ -270,6 +257,11 @@ def batch_scan(N_lo: int, N_hi: int, theta: float, Q_max: int = 0) -> ScanResult
     Q_max > 0 adds the predicted main term (truncated singular series times
     the archimedean factor) and per-n ratios.  The exceptional summary
     counts n with no representation at all.
+
+    ``ratios`` and ``mean_ratio`` divide by that truncated-series main term,
+    which is <= 0 at dozens of n per window (a truncation of the
+    conditionally convergent series is not promised positive), so those
+    ratios can be negative or huge and their mean is not a trend.
     """
     if N_lo < 3 or N_hi <= N_lo:
         raise PreconditionError(f"need 3 <= N_lo < N_hi, got ({N_lo}, {N_hi})")

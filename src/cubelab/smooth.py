@@ -14,7 +14,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from cubelab.params import Parameters, PreconditionError
+from cubelab.params import Parameters, PreconditionError, _snap_integer
 
 __all__ = [
     "SmoothSet",
@@ -70,20 +70,6 @@ def _largest_prime_factor(limit: int) -> np.ndarray:
     return lpf
 
 
-def _resolve_cap(base: float, eta: float) -> float:
-    """base**eta, snapped to an integer when within 1e-9 relative.
-
-    The admission test "prime <= cap" is integer-valued, so a cap that is
-    mathematically an integer must not flicker with the rounding of pow
-    (e.g. 10**(log2/log10) evaluates to 1.9999999999999998).
-    """
-    cap = base**eta
-    nearest = round(cap)
-    if nearest >= 1 and abs(cap - nearest) <= 1e-9 * max(1.0, cap):
-        return float(nearest)
-    return cap
-
-
 def _smooth_members(lo: int, hi: int, cap: float) -> tuple[int, ...]:
     """Integers m in [lo, hi] with every prime factor <= cap, ascending."""
     if hi < lo:
@@ -99,7 +85,7 @@ def smooth_set(R: float, eta: float) -> SmoothSet:
         raise PreconditionError(f"R must be >= 1, got {R}")
     if not 0 < eta < 1:
         raise PreconditionError(f"eta must lie in (0, 1), got {eta}")
-    cap = _resolve_cap(R, eta)
+    cap = _snap_integer(R**eta)
     return SmoothSet(0.0, R, cap, _smooth_members(1, math.floor(R), cap))
 
 
@@ -107,7 +93,7 @@ def smooth_star_set(X: float, Z: float, eta: float) -> SmoothSet:
     """The set of m in [1, X] whose prime factors are all <= Z^eta."""
     if X < 1 or Z < 1:
         raise PreconditionError(f"X and Z must be >= 1, got X={X}, Z={Z}")
-    cap = _resolve_cap(Z, eta)
+    cap = _snap_integer(Z**eta)
     return SmoothSet(0.0, X, cap, _smooth_members(1, math.floor(X), cap))
 
 
@@ -115,7 +101,7 @@ def smooth_interval_set(X: float, Z: float, eta: float) -> SmoothSet:
     """The dyadic shell (X, 2X] of Z^eta-smooth integers."""
     if X < 1 or Z < 1:
         raise PreconditionError(f"X and Z must be >= 1, got X={X}, Z={Z}")
-    cap = _resolve_cap(Z, eta)
+    cap = _snap_integer(Z**eta)
     return SmoothSet(X, 2 * X, cap, _smooth_members(math.floor(X) + 1, math.floor(2 * X), cap))
 
 

@@ -95,9 +95,6 @@ class TestExitCodes:
     def test_resource_guard_is_3(self, capsys):
         assert main(["meanvalue", "--shape", "K8", "--P", "100", "--R", "50"]) == 3
 
-    def test_bad_workers_is_2(self, capsys):
-        assert main(["count", "--n", "4", "--theta", "0.2", "--workers", "0"]) == 2
-
     def test_numerical_nonconvergence_is_4(self, capsys):
         # An impossible oscillatory-integral tolerance exhausts the panel
         # budget inside the arc model.

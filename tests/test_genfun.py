@@ -1,12 +1,16 @@
 import math
 from fractions import Fraction
 
+import mpmath as mp
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cubelab.expsums import cubic_gauss_sum
 from cubelab.genfun import (
     QuadratureError,
+    _batch_rule,
     estimate_bilinear_prefactor,
     fractional_phases,
     interval_spec,
@@ -106,7 +110,34 @@ def _simpson_oracle(beta: float, lo: float, hi: float, m: int = 1 << 21) -> comp
     return complex(h / 3 * (vals[0] + vals[-1] + 4 * vals[1:-1:2].sum() + 2 * vals[2:-1:2].sum()))
 
 
+def _phi(t: float) -> complex:
+    """phi(t) = int_0^1 e(t u^3) du = 1F1(1/3; 4/3; 2 pi i t) (DLMF 13.4.1)."""
+    with mp.workdps(30):
+        return complex(mp.hyp1f1(mp.mpf(1) / 3, mp.mpf(4) / 3, 2j * mp.pi * mp.mpf(t)))
+
+
 class TestOscillatoryIntegrals:
+    @settings(max_examples=40, deadline=None)
+    @given(Z=st.floats(0.1, 1000.0),
+           ts=st.lists(st.floats(-30.0, 30.0), min_size=1, max_size=4))
+    def test_against_hypergeometric_closed_form(self, Z, ts):
+        # w(beta; Z) = Z phi(beta Z^3), v(beta; Z) = 2Z phi(8 beta Z^3) - Z phi(beta Z^3);
+        # the scalar integrals and the batch rule must all match at beta = t / Z^3.
+        betas = np.array([t / Z**3 for t in ts])
+        w_want = [Z * _phi(t) for t in ts]
+        v_want = [2 * Z * _phi(8 * t) - Z * _phi(t) for t in ts]
+        w_batch, _ = _batch_rule(betas, 0.0, Z, 1e-10)
+        v_batch, _ = _batch_rule(betas, Z, 2 * Z, 1e-10)
+        for k, beta in enumerate(betas):
+            for got in (w_integral(float(beta), Z).value, w_batch[k]):
+                assert abs(got - w_want[k]) <= 5e-13 * Z
+            for got in (v_integral(float(beta), Z).value, v_batch[k]):
+                assert abs(got - v_want[k]) <= 5e-13 * Z
+
+    def test_reports_callers_Z(self):
+        assert v_integral(0.01, 3.0).Z == 3.0
+        assert w_integral(0.01, 3.0).Z == 3.0
+
     def test_zero_phase_exact(self):
         for Z in (0.5, 1.0, 7.0, 250.0):
             assert v_integral(0.0, Z).value == pytest.approx(Z, rel=1e-12)

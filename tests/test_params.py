@@ -2,6 +2,8 @@ import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cubelab.params import (
     PreconditionError,
@@ -9,6 +11,7 @@ from cubelab.params import (
     best_rational,
     derive_parameters,
     integer_cube_root,
+    integer_root,
     parse_config,
 )
 
@@ -96,6 +99,20 @@ class TestIntegerCubeRoot:
     def test_rejects_negative(self):
         with pytest.raises(PreconditionError):
             integer_cube_root(-1)
+
+
+class TestIntegerRoot:
+    @settings(deadline=None)
+    @given(n=st.integers(0, 2**2000), k=st.integers(1, 64))
+    def test_bracketing(self, n, k):
+        r = integer_root(n, k)
+        assert r**k <= n < (r + 1) ** k
+
+    def test_rejects_bad_args(self):
+        with pytest.raises(PreconditionError):
+            integer_root(-1, 2)
+        with pytest.raises(PreconditionError):
+            integer_root(8, 0)
 
 
 def _best_rational_exhaustive(alpha: float, q_max: int) -> Rational:

@@ -3,6 +3,8 @@ import math
 import mpmath as mp
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cubelab.arcs import mean_value_grid, moment_integrand
 from cubelab.genfun import bilinear_spec, interval_spec, set_spec
@@ -62,6 +64,21 @@ class TestMinicubeBound:
     def test_monotone_in_n(self):
         vals = [minicube_bound(n, 0.3) for n in range(4, 4000)]
         assert all(a <= b for a, b in zip(vals, vals[1:]))
+
+    def test_large_numerator_does_not_overflow(self):
+        # theta = 31/64 takes the 64th root of n^31, far beyond float range.
+        assert minicube_bound(10**10, 31 / 64) == 69783
+
+    @settings(max_examples=200, deadline=None)
+    @given(q=st.integers(2, 64), p=st.integers(1, 63), base=st.integers(2, 40))
+    def test_exact_ties(self, q, p, base):
+        # n = base^q sits on the tie y^q = n^p with y = base^p; n - 1 falls
+        # just below it (n^theta is concave and drops by < 1 per unit step).
+        p = p % (q - 1) + 1
+        g = math.gcd(p, q)
+        p, q = p // g, q // g
+        assert minicube_bound(base**q, p / q) == base**p
+        assert minicube_bound(base**q - 1, p / q) == base**p - 1
 
 
 class TestTwoCubeTable:

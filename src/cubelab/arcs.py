@@ -16,8 +16,8 @@ from __future__ import annotations
 
 import cmath
 import math
-from bisect import bisect_right
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -84,30 +84,46 @@ class ArcDissection:
     def __len__(self) -> int:
         return len(self.arcs)
 
+    @cached_property
+    def _bounds(self) -> tuple[np.ndarray, np.ndarray]:
+        """Left and right endpoints in arc order, derived once per dissection."""
+        return (np.array([arc.lo for arc in self.arcs], dtype=np.float64),
+                np.array([arc.hi for arc in self.arcs], dtype=np.float64))
+
+
+def _arc_count(q_top: int) -> int:
+    """1 + sum of Euler's phi(q) for q <= q_top, stopping once past the arc guard."""
+    phi = np.arange(min(q_top, _ARC_COUNT_GUARD) + 1)
+    count = 1
+    for q in range(1, len(phi)):
+        if q > 1 and phi[q] == q:  # q is prime
+            phi[q::q] -= phi[q::q] // q
+        count += int(phi[q])
+        if count > _ARC_COUNT_GUARD:
+            break
+    return count
+
 
 def _build(style: str, cutoff: float, params: Parameters, width_of) -> ArcDissection:
     if cutoff < 1:
         raise PreconditionError(f"arc cutoff must be >= 1, got {cutoff}")
     q_top = math.floor(cutoff)
-    arcs: list[Arc] = []
-    count = 0
-    for q in range(1, q_top + 1):
-        for a in range(0, q + 1):
-            if math.gcd(a, q) != 1:
-                continue
-            count += 1
-            if count > _ARC_COUNT_GUARD:
-                raise ResourceGuardError(
-                    f"dissection would exceed {_ARC_COUNT_GUARD} arcs; lower the cutoff"
-                )
-            center = a / q
-            w = width_of(q)
-            arcs.append(Arc(Rational(a, q), center, w,
-                            max(center - w, 0.0), min(center + w, 1.0)))
-    arcs.sort(key=lambda arc: (arc.lo, arc.hi))
-    overlapping = any(prev.hi > cur.lo and prev.center != cur.center
-                      for prev, cur in zip(arcs, arcs[1:]))
-    return ArcDissection(style=style, cutoff=float(cutoff), arcs=tuple(arcs),
+    if _arc_count(q_top) > _ARC_COUNT_GUARD:
+        raise ResourceGuardError(
+            f"dissection would exceed {_ARC_COUNT_GUARD} arcs; lower the cutoff"
+        )
+    q, a = np.ogrid[1 : q_top + 1, 0 : q_top + 1]
+    q, a = np.nonzero((a <= q) & (np.gcd(a, q) == 1))  # row index q - 1; q-major, a ascending
+    q += 1
+    center = a / q
+    w = np.broadcast_to(width_of(q), q.shape)
+    lo, hi = np.maximum(center - w, 0.0), np.minimum(center + w, 1.0)
+    order = np.lexsort((hi, lo))  # stable, so equal (lo, hi) keep the (q, a) order
+    q, a, center, w, lo, hi = (v[order] for v in (q, a, center, w, lo, hi))
+    overlapping = bool(np.any((hi[:-1] > lo[1:]) & (center[:-1] != center[1:])))
+    arcs = tuple(Arc(Rational(ai, qi), c, wi, l, h) for qi, ai, c, wi, l, h
+                 in zip(*(v.tolist() for v in (q, a, center, w, lo, hi))))
+    return ArcDissection(style=style, cutoff=float(cutoff), arcs=arcs,
                          params=params, overlapping=overlapping)
 
 
@@ -133,28 +149,29 @@ def n_dissection(params: Parameters) -> ArcDissection:
 def arc_membership(alpha: float, dissection: ArcDissection) -> Rational | None:
     """Label of the arc containing alpha, or None on the minor-arc complement.
 
-    Interval search against the materialized arcs.  (Locating the nearest
+    Interval search against the dissection's endpoint arrays, derived once
+    per dissection: a bisection of the sorted left endpoints, O(log #arcs),
+    for a disjoint family, and one vectorised lo <= alpha <= hi mask for an
+    overlapping one.  Where several arcs contain alpha (overlaps, or two
+    arcs touching at alpha) the smallest (q, a) wins.  (Locating the nearest
     rational by continued fractions is only sound for the narrow style: it
     minimizes |q*alpha - a|, while wide arcs admit points whose best
     approximant lies in a different, non-containing arc.)
     """
     if not 0.0 <= alpha < 1.0:
         raise PreconditionError(f"alpha must lie in [0, 1), got {alpha}")
-    arcs = dissection.arcs
-    if not arcs:
-        return None
+    los, his = dissection._bounds
     if dissection.overlapping:
-        # Degenerate family: right endpoints are not ordered, so scan.
-        hits = [arc for arc in arcs if arc.lo <= alpha <= arc.hi]
+        # Degenerate family: right endpoints are not ordered, so test them all.
+        hits = np.flatnonzero((los <= alpha) & (alpha <= his)).tolist()
     else:
-        los = [arc.lo for arc in arcs]
-        idx = bisect_right(los, alpha) - 1
-        hits = [arcs[j] for j in (idx, idx + 1)
-                if 0 <= j < len(arcs) and arcs[j].lo <= alpha <= arcs[j].hi]
+        # Arcs before j start at or left of alpha; the last of them holds it,
+        # or the one before it when that one ends exactly at alpha.
+        j = int(np.searchsorted(los, alpha, side="right"))
+        hits = [k for k in (j - 2, j - 1) if k >= 0 and alpha <= his[k]]
     if not hits:
         return None
-    best = min(hits, key=lambda arc: (arc.label.q, arc.label.a))
-    return best.label
+    return min((dissection.arcs[k].label for k in hits), key=lambda r: (r.q, r.a))
 
 
 def dissection_measure(dissection: ArcDissection) -> float:
@@ -294,8 +311,9 @@ def mean_value_grid(integrand: ArcIntegrand, grid_points: int) -> complex:
     """Equispaced average over the full circle, exact by orthogonality.
 
     Each Weyl-sum factor is evaluated at every j/M simultaneously through
-    the cube-residue distribution mod M (one FFT per factor), so the cost
-    is O(M log M) regardless of the index-set sizes.
+    the cube-residue distribution mod M (one FFT per distinct factor, which
+    a conjugated copy reuses), so the cost is O(M log M) regardless of the
+    index-set sizes.
     """
     M = int(grid_points)
     if M > _GRID_GUARD:
@@ -306,11 +324,14 @@ def mean_value_grid(integrand: ArcIntegrand, grid_points: int) -> complex:
             f"grid of {M} points undersamples a degree-{degree} integrand"
         )
     total = np.ones(M, dtype=np.complex128)
+    ffts: dict[WeylSumSpec, np.ndarray] = {}
     for spec, exponent, conjugated in integrand.factors:
-        values = spec.term_values() % M
-        cubes = (values * values % M) * values % M
-        counts = np.bincount(cubes, minlength=M).astype(np.float64)
-        factor = np.conj(np.fft.fft(counts))  # sum_x e(+ j x^3 / M) at each j
+        if spec not in ffts:
+            values = spec.term_values() % M
+            cubes = (values * values % M) * values % M
+            counts = np.bincount(cubes, minlength=M).astype(np.float64)
+            ffts[spec] = np.conj(np.fft.fft(counts))  # sum_x e(+ j x^3 / M) at each j
+        factor = ffts[spec]
         if conjugated:
             factor = np.conj(factor)
         total *= factor**exponent

@@ -2,8 +2,12 @@
 
 Phase accuracy is the whole game here: alpha*x^3 mod 1 computed as a naive
 double product loses every significant digit once x^3 approaches 2^53, so
-the sums run through an exact product-splitting reduction (Dekker two-term
-products, with a big-integer fallback above the float-exact cube range).
+fractional_phases reduces exactly, in one of three branches.  Up to
+x = 208,000 the cube is an exact double and Dekker two-term products
+recover the rounding error.  Above that, alpha is taken as the dyadic
+rational m*2^-s it is (m odd): for s <= 64 a wrapping uint64 product gives
+m*x^3 mod 2^s exactly, and only for s > 64 (alpha < 2^-11 with a full
+mantissa) does a per-term big-integer loop run.
 Every integral in this module and in arcs goes through one driver,
 _gauss_legendre: 16-point Gauss-Legendre on a panel grid whose count,
 seeded by the oscillation count, doubles until the caller's stopping test
@@ -160,9 +164,16 @@ def _split_hi_lo(x: np.ndarray | float):
 def fractional_phases(alpha: float, values: np.ndarray) -> np.ndarray:
     """alpha * values^3 mod 1, elementwise, to full double accuracy.
 
-    values^3 held exactly in float64 requires values < 208_000; beyond that
-    an exact dyadic big-integer reduction takes over (alpha, as a double,
-    IS a dyadic rational, so the reduction is error-free).
+    Three branches, all exact before the final rounding.  If every value is
+    at most 208,000, values^3 is an exact double and a Dekker product-split
+    recovers the error of alpha * values^3.  Otherwise alpha, as a double,
+    IS a dyadic rational m * 2^-s with m odd, so the phase is
+    (m * values^3 mod 2^s) * 2^-s: computed in wrapping uint64 arithmetic
+    when s <= 64 (only the residue mod 2^64 of values^3 matters), and by a
+    per-term big-integer loop when s > 64, that is alpha < 2^-11 with a
+    full mantissa.  The exact branches return the correctly rounded
+    residue, which is 1.0 where it rounds up; the Dekker branch returns
+    0.0 there.
     """
     alpha = alpha - math.floor(alpha)  # exact: both are multiples of ulp(alpha)
     values = np.asarray(values, dtype=np.int64)
@@ -199,15 +210,19 @@ def fractional_linear_phase(alpha: float, k: int) -> float:
 
 def _fractional_phases_exact(alpha: float, values: np.ndarray) -> np.ndarray:
     mant, exp = math.frexp(alpha)
-    mant_int = int(mant * (1 << 53))
-    shift = 53 - exp
-    if shift <= 0:  # alpha an even integer after reduction; cannot happen for alpha in [0,1)
+    m = int(mant * (1 << 53))
+    if m == 0:
         return np.zeros(len(values), dtype=np.float64)
+    zeros = (m & -m).bit_length() - 1
+    m, shift = m >> zeros, 53 - exp - zeros  # alpha = m * 2^-shift, m odd, shift >= 1
     mask = (1 << shift) - 1
     scale = math.ldexp(1.0, -shift)
+    if shift <= 64:  # x^3 may wrap mod 2^64; its residue mod 2^shift survives
+        x = values.astype(np.uint64)
+        return ((x * x * x * np.uint64(m)) & np.uint64(mask)).astype(np.float64) * scale
     out = np.empty(len(values), dtype=np.float64)
     for i, v in enumerate(values.tolist()):
-        out[i] = ((mant_int * v**3) & mask) * scale
+        out[i] = ((m * v**3) & mask) * scale
     return out
 
 

@@ -14,7 +14,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from cubelab.params import Parameters, PreconditionError, _snap_integer
+from cubelab.params import Parameters, PreconditionError, ResourceGuardError, _snap_integer
 
 __all__ = [
     "SmoothSet",
@@ -62,7 +62,7 @@ class RestrictedPrimeRange:
 def _largest_prime_factor(limit: int) -> np.ndarray:
     """lpf[m] = largest prime factor of m for m <= limit (lpf[0] = lpf[1] = 0)."""
     if limit > _SIEVE_LIMIT:
-        raise PreconditionError(f"sieve limit {limit} exceeds the desk-scale cap {_SIEVE_LIMIT}")
+        raise ResourceGuardError(f"sieve limit {limit} exceeds the desk-scale cap {_SIEVE_LIMIT}")
     lpf = np.zeros(limit + 1, dtype=np.int64)
     for p in range(2, limit + 1):
         if lpf[p] == 0:

@@ -2,9 +2,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cubelab.arcs import (
+    Arc,
     ArcIntegrand,
+    _arc_count,
     arc_membership,
     dissection_measure,
     evaluate_integrand,
@@ -72,11 +76,13 @@ class TestDissectionStructure:
             m_dissection(BIG, 60.0),
             m_dissection(TOY, 8.0),
             m_dissection(TOY, 14.0),
+            m_dissection(TOY, 20.0),  # arcs 1/q, 12 <= q <= 20, nest inside 0/1's
             n_dissection(BIG),
         ]
         for d in families:
             arcs = d.arcs
             assert len(arcs) <= 10**4
+            assert [(a.lo, a.hi) for a in arcs] == sorted((a.lo, a.hi) for a in arcs)
             overlap = False
             for i in range(len(arcs)):
                 for j in range(i + 1, len(arcs)):
@@ -90,6 +96,28 @@ class TestDissectionStructure:
     def test_arc_count_guard(self):
         with pytest.raises(ResourceGuardError):
             p_dissection(BIG, L=4 * 10**6)
+
+    def test_arc_count_guard_trips_before_any_arc(self, monkeypatch):
+        # Arcs per cutoff Q, counted independently: 1 + #{(a, q): q <= Q, 0 < a <= q, gcd 1}.
+        q, a = np.ogrid[1:1400, 1:1400]
+        counts = 1 + np.cumsum(((a <= q) & (np.gcd(a, q) == 1)).sum(axis=1))
+        first_over = int(np.argmax(counts > 500_000)) + 1  # smallest cutoff past the guard
+        made = 0
+
+        def counting_arc(*args):
+            nonlocal made
+            made += 1
+            return Arc(*args)
+
+        for cutoff in (1, 2, 30, first_over - 1, first_over):
+            assert _arc_count(cutoff) == counts[cutoff - 1]
+        monkeypatch.setattr("cubelab.arcs.Arc", counting_arc)
+        assert len(m_dissection(BIG, 30.0)) == made == counts[29]
+        made = 0
+        for cutoff in (float(first_over), 4 * 10**6):
+            with pytest.raises(ResourceGuardError):
+                p_dissection(BIG, L=cutoff)
+            assert made == 0, cutoff
 
     def test_clipping(self):
         d = p_dissection(TOY)
@@ -146,6 +174,54 @@ class TestMembership:
         assert best_rational(alpha, 10) == Rational(1, 3)  # |3a-1| = .073 < .09
         assert abs(alpha - 1 / 3) > 0.01  # ...but outside the (1,3) arc
         assert arc_membership(alpha, d) == Rational(3, 10)
+
+
+_MEMBERSHIP_FAMILIES = [
+    p_dissection(TOY),
+    p_dissection(derive_parameters(1000, 1 / 3, eta=0.8, L_override=10.0)),  # overlapping
+    m_dissection(BIG, 10.0),
+    m_dissection(BIG, 60.0),
+    m_dissection(TOY, 14.0),  # overlapping
+    m_dissection(TOY, 20.0),  # overlapping and nested
+    n_dissection(BIG),
+    p_dissection(derive_parameters(8, 1 / 3, eta=0.8, L_override=2.0)),  # touching at 1/4, 3/4
+]
+
+
+def _containing_arc_brute_force(alpha, d):
+    hits = [arc.label for arc in d.arcs if arc.lo <= alpha <= arc.hi]
+    return min(hits, key=lambda r: (r.q, r.a)) if hits else None
+
+
+@st.composite
+def _family_and_alpha(draw):
+    d = draw(st.sampled_from(_MEMBERSHIP_FAMILIES))
+    arc = draw(st.sampled_from(d.arcs))
+    alpha = draw(st.one_of(
+        st.floats(0.0, 1.0, exclude_max=True),
+        st.sampled_from([arc.lo, arc.center, arc.hi]).filter(lambda x: x < 1.0),
+        st.floats(arc.lo, arc.hi).filter(lambda x: x < 1.0),
+    ))
+    return d, alpha
+
+
+class TestMembershipProperty:
+    @settings(max_examples=300, deadline=None)
+    @given(_family_and_alpha())
+    def test_matches_brute_force_search(self, family_and_alpha):
+        # The containing arc with the smallest (q, a), endpoints included.
+        d, alpha = family_and_alpha
+        assert arc_membership(alpha, d) == _containing_arc_brute_force(alpha, d)
+
+    def test_touching_arcs_report_the_smaller_label(self):
+        d = _MEMBERSHIP_FAMILIES[-1]  # [0, 1/4], [1/4, 3/4], [3/4, 1]
+        assert not d.overlapping
+        assert arc_membership(0.25, d) == Rational(0, 1)
+        assert arc_membership(0.75, d) == Rational(1, 1)
+
+    def test_families_cover_both_search_branches(self):
+        assert {d.overlapping for d in _MEMBERSHIP_FAMILIES} == {False, True}
+        assert {d.style for d in _MEMBERSHIP_FAMILIES} == {"P", "M", "N"}
 
 
 class TestMeasure:

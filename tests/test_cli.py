@@ -95,6 +95,9 @@ class TestExitCodes:
     def test_resource_guard_is_3(self, capsys):
         assert main(["meanvalue", "--shape", "K8", "--P", "100", "--R", "50"]) == 3
 
+    def test_sieve_cap_is_3(self, capsys):
+        assert main(["smooth", "--R", "4000001"]) == 3
+
     def test_numerical_nonconvergence_is_4(self, capsys):
         # An impossible oscillatory-integral tolerance exhausts the panel
         # budget inside the arc model.

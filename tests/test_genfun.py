@@ -4,7 +4,7 @@ from fractions import Fraction
 import mpmath as mp
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cubelab.expsums import cubic_gauss_sum
@@ -46,6 +46,29 @@ class TestFractionalPhases:
     def test_integer_alpha_zero_phase(self):
         xs = np.arange(1, 50, dtype=np.int64)
         assert np.all(fractional_phases(0.0, xs) == 0.0)
+
+    @settings(max_examples=300, deadline=None)
+    @given(alpha=st.one_of(
+        # dyadic j / 2^k
+        st.integers(1, 64).flatmap(lambda k: st.integers(1, 2**k - 1).map(lambda j: j / 2**k)),
+        # full 53-bit mantissa, alpha >= 2^-11: the uint64 branch above x = 208,000
+        st.builds(lambda m, e: (m | 1) / 2**(53 + e), st.integers(2**52, 2**53 - 1),
+                  st.integers(0, 10)),
+        # full mantissa, alpha < 2^-11: the big-integer branch above x = 208,000
+        st.builds(lambda m, e: (m | 1) / 2**(53 + e), st.integers(2**52, 2**53 - 1),
+                  st.integers(11, 40)),
+        st.floats(0.0, 1.0, exclude_max=True),
+    ), xs=st.lists(st.integers(1, 10**7), min_size=1, max_size=20))
+    @example(alpha=(2**53 - 1) / 2**64, xs=[10**7, 208_001])  # alpha = m 2^-64: uint64 still
+    @example(alpha=(2**53 - 1) / 2**65, xs=[10**7, 208_001])  # alpha = m 2^-65: big integers
+    def test_bit_identical_to_exact_fractions(self, alpha, xs):
+        # Every branch rounds the exact residue once; the Dekker branch (all
+        # x <= 208,000) maps a residue that rounds up to 1.0 onto 0.0.
+        want = [float(Fraction(alpha) * x**3 % 1) for x in xs]
+        if max(xs) <= 208_000:
+            want = [w % 1.0 for w in want]
+        got = fractional_phases(alpha, np.array(xs, dtype=np.int64))
+        assert got.tolist() == want
 
 
 class TestWeylSum:

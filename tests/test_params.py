@@ -151,6 +151,11 @@ class TestBestRational:
                 want = _best_rational_exhaustive(alpha, q_max)
                 assert got == want, (alpha, q_max, got, want)
 
+    @settings(max_examples=300, deadline=None)
+    @given(alpha=st.floats(0.0, 1.0, exclude_max=True), q_max=st.integers(1, 300))
+    def test_matches_brute_force_search(self, alpha, q_max):
+        assert best_rational(alpha, q_max) == _best_rational_exhaustive(alpha, q_max)
+
     def test_optimality_property(self):
         # Returned pair beats every coprime competitor with q' <= q_max.
         import random

@@ -2,7 +2,7 @@ import math
 
 import pytest
 
-from cubelab.params import PreconditionError, derive_parameters
+from cubelab.params import PreconditionError, ResourceGuardError, derive_parameters
 from cubelab.smooth import (
     prime_range_clears_smooth_cap,
     primes_in,
@@ -55,6 +55,10 @@ class TestSmoothSet:
             smooth_set(0.5, 0.5)
         with pytest.raises(PreconditionError):
             smooth_set(10, 1.5)
+
+    def test_sieve_cap_is_a_resource_guard(self):
+        with pytest.raises(ResourceGuardError):
+            smooth_set(4_000_001, 0.1)
 
 
 class TestSmoothIntervalSet:

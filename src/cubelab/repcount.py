@@ -1,4 +1,8 @@
-"""Exact representation counting via keyed two-cube tables.
+"""Exact representation counting on one sorted pair-sum kernel.
+
+Every count matches two multisets of cube sums: ``_pair_sums`` lists each
+left + right sum inside a range by bisecting the sorted left array, and
+``_window_counts`` histograms the matches for a window of n.
 
 Counts are of ORDERED tuples throughout, matching the generating-function
 moments they equal by orthogonality.  The small-cube admission y <= n^theta
@@ -28,10 +32,8 @@ from cubelab.smooth import restricted_primes, smooth_interval_set, smooth_set
 
 __all__ = [
     "RepCountReport",
-    "TwoCubeTable",
     "ScanResult",
     "minicube_bound",
-    "two_cube_table",
     "count_r",
     "count_rho",
     "count_sigma",
@@ -40,9 +42,10 @@ __all__ = [
     "mixed_mean_count",
 ]
 
-_SINGLE_N_CAP = 10**10       # keeps the per-call two-cube table ~10^6 entries
-_WINDOW_SLICE_CAP = 1 << 27  # max length of the shared two-cube array
-_HUA_R_CAP = 5000            # R^2 ordered pairs are materialized for k=2
+_SINGLE_N_CAP = 10**10  # keeps each pair-sum array of count_r near 4*10^6 entries
+_SIZE_CAP = 1 << 27     # max window width, cube range and pair-sum total
+_MATCH_CHUNK = 1 << 20  # matches gathered at once per window segment
+_HUA_R_CAP = 5000       # R^2 ordered pairs are materialized for k=2
 
 
 @dataclass(frozen=True)
@@ -57,22 +60,6 @@ class RepCountReport:
     @property
     def exceptional(self) -> bool:
         return self.count == 0
-
-
-@dataclass(frozen=True)
-class TwoCubeTable:
-    """Multiset of x1^3 + x2^3 over ordered pairs from a cube range."""
-
-    limit: int
-    x_lo: int
-    x_hi: int
-    entries: dict[int, int]
-
-    def lookup(self, s: int) -> int:
-        return self.entries.get(s, 0)
-
-    def pair_count(self) -> int:
-        return sum(self.entries.values())
 
 
 def _snap_to_rational(theta: float) -> Fraction | None:
@@ -105,44 +92,83 @@ def minicube_bound(n: int, theta: float) -> int:
     return math.floor(cand)
 
 
-def two_cube_table(x_lo: int, x_hi: int, limit: int) -> TwoCubeTable:
-    """Ordered-pair sums x1^3 + x2^3 with x_lo < x_i <= x_hi, keyed by sum <= limit."""
-    if x_hi - x_lo > 40_000:
-        raise ResourceGuardError(f"cube range ({x_lo}, {x_hi}] too wide to materialize")
-    xs = np.arange(x_lo + 1, x_hi + 1, dtype=np.int64)
-    entries: dict[int, int] = {}
-    if len(xs):
-        cubes = xs**3
-        sums = (cubes[:, None] + cubes[None, :]).ravel()
-        sums = sums[sums <= limit]
-        vals, mult = np.unique(sums, return_counts=True)
-        entries = {int(v): int(m) for v, m in zip(vals, mult)}
-    return TwoCubeTable(limit=limit, x_lo=x_lo, x_hi=x_hi, entries=entries)
+def _spans(left: np.ndarray, right: np.ndarray, lo: int, hi: int):
+    """Per right value r: the start and length of the run of sorted left in [lo - r, hi - r]."""
+    start = np.searchsorted(left, lo - right, side="left")
+    return start, np.maximum(np.searchsorted(left, hi - right, side="right") - start, 0)
+
+
+def _gather(left: np.ndarray, right: np.ndarray, start: np.ndarray, length: np.ndarray):
+    """left[start[j] + k] + right[j] for every j and 0 <= k < length[j]."""
+    total = int(length.sum())
+    if total > _SIZE_CAP:
+        raise ResourceGuardError(f"{total} pair sums exceed the size cap {_SIZE_CAP}")
+    out = np.repeat(start - (np.cumsum(length) - length), length)
+    out += np.arange(total)
+    out = left[out]  # indices into left, replaced by the values (frees the indices)
+    out += np.repeat(right, length)
+    return out
+
+
+def _pair_sums(left: np.ndarray, right: np.ndarray, lo: int, hi: int) -> np.ndarray:
+    """Every left[i] + right[j] in [lo, hi] over ordered (i, j); left sorted."""
+    return _gather(left, right, *_spans(left, right, lo, hi))
+
+
+def _cubes(lo: int, hi: int) -> np.ndarray:
+    """x^3 for lo <= x <= hi, ascending."""
+    if hi - lo >= _SIZE_CAP:
+        raise ResourceGuardError(f"cube range [{lo}, {hi}] exceeds the size cap {_SIZE_CAP}")
+    return np.arange(lo, hi + 1, dtype=np.int64) ** 3
+
+
+def _window_counts(N_lo: int, N_hi: int, theta: float, low: int = 1) -> np.ndarray:
+    """Ordered counts of n = x1^3+x2^3+y1^3+y2^3, y_i <= n^theta, for n in (N_lo, N_hi].
+
+    Every variable is >= low.  The two big cubes form one sorted pair-sum
+    array; each run of constant floor(n^theta) matches its small-cube pair
+    sums against it, in parts of about _MATCH_CHUNK matches.
+    """
+    if N_hi - N_lo > _SIZE_CAP:
+        raise ResourceGuardError(f"window width {N_hi - N_lo} exceeds the size cap {_SIZE_CAP}")
+    counts = np.zeros(N_hi - N_lo, dtype=np.int64)  # index n - (N_lo + 1)
+    segments = _bound_segments(N_lo, N_hi, theta)
+    cubes = _cubes(low, integer_cube_root(N_hi - 2 * low**3))
+    # A minicube above the cube root of n - 3 low^3 has no partners.
+    b_hi = min(segments[-1][2], integer_cube_root(N_hi - 3 * low**3))
+    big = _pair_sums(cubes, cubes, max(2 * low**3, N_lo + 1 - 2 * b_hi**3), N_hi - 2 * low**3)
+    if not big.size:
+        return counts
+    big.sort()
+    for seg_lo, seg_hi, b in segments:
+        small = cubes[: min(b, b_hi) - low + 1]
+        # Sorted t makes the match queries monotone, which searchsorted
+        # serves about five times faster than the unsorted pair order.
+        t = np.sort(_pair_sums(small, small, seg_lo - big[-1], seg_hi - big[0]))
+        start, length = _spans(big, t, seg_lo, seg_hi)
+        marks = np.arange(_MATCH_CHUNK, length.sum(), _MATCH_CHUNK)
+        cuts = [0, *np.searchsorted(np.cumsum(length), marks), len(t)]
+        view = counts[seg_lo - N_lo - 1 : seg_hi - N_lo]
+        for a, z in zip(cuts, cuts[1:]):
+            hits = _gather(big, t[a:z], start[a:z], length[a:z])
+            hits -= seg_lo
+            view += np.bincount(hits, minlength=len(view))
+    return counts
 
 
 def count_r(n: int, theta: float, allow_zero: bool = False) -> RepCountReport:
     """Ordered solutions of n = x1^3+x2^3+y1^3+y2^3 with y_i <= n^theta.
 
-    Meet-in-the-middle: every ordered small-cube pair indexes one lookup in
-    the unrestricted two-cube table.  Variables are positive by default;
-    allow_zero admits zero cubes in all four positions.
+    Meet-in-the-middle: a width-1 window of the sorted pair-sum kernel, in
+    which every ordered small-cube pair is matched against the sorted
+    two-cube sums.  Variables are positive by default; allow_zero admits
+    zero cubes in all four positions.
     """
     if n < 4:
         raise PreconditionError(f"n must be >= 4, got {n}")
     if n > _SINGLE_N_CAP:
         raise ResourceGuardError(f"n={n} exceeds the single-call cap {_SINGLE_N_CAP}")
-    low = 0 if allow_zero else 1
-    rest_min = 2 * low**3  # smallest the two cube-pair partners can sum to
-    bound = minicube_bound(n, theta)
-    bound = min(bound, integer_cube_root(n - 3 * low**3))
-    table = two_cube_table(low - 1, integer_cube_root(n - rest_min), n - rest_min)
-    count = 0
-    if bound >= low:
-        ys = np.arange(low, bound + 1, dtype=np.int64) ** 3
-        tvals = (ys[:, None] + ys[None, :]).ravel()
-        tvals = tvals[tvals <= n - rest_min]
-        vals, mult = np.unique(tvals, return_counts=True)
-        count = sum(int(m) * table.lookup(n - int(t)) for t, m in zip(vals, mult))
+    count = int(_window_counts(n - 1, n, theta, 0 if allow_zero else 1)[0])
     return RepCountReport(n=n, theta=theta, count=count, variant="r")
 
 
@@ -165,22 +191,14 @@ def count_rho(n: int, params: Parameters) -> RepCountReport:
         raise ResourceGuardError(
             f"smooth pair table would need {len(smooth_members)**2} entries"
         )
-    pair_sums: dict[int, int] = {}
-    for y1 in smooth_members:
-        for y2 in smooth_members:
-            t = y1**3 + y2**3
-            pair_sums[t] = pair_sums.get(t, 0) + 1
-    xs = range(math.floor(P) + 1, math.floor(2 * P) + 1)
-    count = 0
-    for p in primes:
-        shell = smooth_interval_set(max(P / p, 1.0), max(2 * P / params.Y, 1.0),
-                                    params.eta).members
-        for w in shell:
-            m = (p * w) ** 3
-            for x in xs:
-                rem = n - x**3 - m
-                if rem >= 2:
-                    count += pair_sums.get(rem, 0)
+    h3 = np.asarray(smooth_members, dtype=np.int64) ** 3
+    smooth_pairs = np.sort(_pair_sums(h3, h3, 2, n))
+    pw = [p * w for p in primes
+          for w in smooth_interval_set(max(P / p, 1.0), max(2 * P / params.Y, 1.0),
+                                       params.eta).members]
+    big = _pair_sums(_cubes(math.floor(P) + 1, math.floor(2 * P)),
+                     np.asarray(pw, dtype=np.int64) ** 3, 2, n - 2)
+    count = int(_spans(smooth_pairs, big, n, n)[1].sum())
     return RepCountReport(n=n, theta=params.theta, count=count, variant="rho")
 
 
@@ -188,21 +206,20 @@ def count_sigma(n: int, theta: float, P: float, R: float) -> RepCountReport:
     """Ordered solutions with 1 <= x_i <= 2P, max(x1,x2) > P, 1 <= y_i <= R.
 
     Mirrors the generating-function difference: (full x <= 2P count) minus
-    (both x <= P count), each via a keyed two-cube table.
+    (both x <= P count), each a match count of the small-cube pair sums
+    against the sorted two-cube sums.
     """
     if n < 4:
         raise PreconditionError(f"n must be >= 4, got {n}")
-    y_top = math.floor(R)
-    if y_top < 1:
-        return RepCountReport(n=n, theta=theta, count=0, variant="sigma")
-    full = two_cube_table(0, math.floor(2 * P), n - 2)
-    inner = two_cube_table(0, math.floor(P), n - 2)
-    ys = np.arange(1, y_top + 1, dtype=np.int64) ** 3
-    tvals = (ys[:, None] + ys[None, :]).ravel()
-    tvals = tvals[tvals <= n - 2]
-    vals, mult = np.unique(tvals, return_counts=True)
-    count = sum(int(m) * (full.lookup(n - int(t)) - inner.lookup(n - int(t)))
-                for t, m in zip(vals, mult))
+    root = integer_cube_root(n - 2)
+    ys = _cubes(1, min(math.floor(R), root))
+    t = _pair_sums(ys, ys, 2, n - 2)
+
+    def matches(x_top: int) -> int:
+        xs = _cubes(1, min(x_top, root))
+        return int(_spans(np.sort(_pair_sums(xs, xs, 2, n - 2)), t, n, n)[1].sum())
+
+    count = matches(math.floor(2 * P)) - matches(math.floor(P))
     return RepCountReport(n=n, theta=theta, count=count, variant="sigma")
 
 
@@ -252,7 +269,7 @@ def _bound_segments(n_lo: int, n_hi: int, theta: float):
 
 
 def batch_scan(N_lo: int, N_hi: int, theta: float, Q_max: int = 0) -> ScanResult:
-    """Count every n in (N_lo, N_hi] against one shared two-cube array.
+    """Count every n in (N_lo, N_hi] against one sorted two-cube sum array.
 
     Q_max > 0 adds the predicted main term (truncated singular series times
     the archimedean factor) and per-n ratios.  The exceptional summary
@@ -266,46 +283,7 @@ def batch_scan(N_lo: int, N_hi: int, theta: float, Q_max: int = 0) -> ScanResult
     if N_lo < 3 or N_hi <= N_lo:
         raise PreconditionError(f"need 3 <= N_lo < N_hi, got ({N_lo}, {N_hi})")
     width = N_hi - N_lo
-    bound_hi = minicube_bound(N_hi, theta)
-    t_max = 2 * bound_hi**3
-    s_lo = max(2, N_lo + 1 - t_max)
-    slice_len = N_hi - s_lo
-    if slice_len > _WINDOW_SLICE_CAP:
-        raise ResourceGuardError(
-            f"window needs a two-cube slice of {slice_len} entries "
-            f"(cap {_WINDOW_SLICE_CAP}); shrink the window or theta"
-        )
-
-    # Shared unrestricted two-cube multiplicities on [s_lo, N_hi - 2].
-    xmax = integer_cube_root(N_hi - 2)
-    big = np.zeros(slice_len + 1, dtype=np.int32)  # index s - s_lo
-    cubes = np.arange(1, xmax + 1, dtype=np.int64) ** 3
-    for c1 in cubes:
-        sums = c1 + cubes
-        keep = sums[(sums >= s_lo) & (sums <= N_hi - 2)]
-        if len(keep):
-            big[keep - s_lo] += 1
-
-    counts = np.zeros(width, dtype=np.int64)  # index n - (N_lo + 1)
-    pair_mult: dict[int, int] = {}
-    current_b = 0
-    for seg_lo, seg_hi, b in _bound_segments(N_lo, N_hi, theta):
-        while current_b < b:  # extend the ordered small-cube pair multiset
-            current_b += 1
-            c_new = current_b**3
-            for y in range(1, current_b):
-                t = c_new + y**3
-                pair_mult[t] = pair_mult.get(t, 0) + 2
-            pair_mult[2 * c_new] = pair_mult.get(2 * c_new, 0) + 1
-        for t, m in pair_mult.items():
-            n_start = max(seg_lo, t + s_lo)  # keep the lookup inside the slice
-            if n_start > seg_hi:
-                continue
-            a = n_start - t - s_lo
-            li = n_start - (N_lo + 1)
-            length = seg_hi - n_start + 1
-            counts[li : li + length] += m * big[a : a + length]
-
+    counts = _window_counts(N_lo, N_hi, theta)
     ns = np.arange(N_lo + 1, N_hi + 1, dtype=np.int64)
     series = predicted = ratios = None
     mean_ratio = median_ratio = None
@@ -336,15 +314,18 @@ def hua_count(R: int, k: int) -> int:
         raise PreconditionError(f"k must be 1 or 2, got {k}")
     if R > _HUA_R_CAP:
         raise ResourceGuardError(f"R={R} exceeds the pair-table cap {_HUA_R_CAP}")
-    cubes = np.arange(1, R + 1, dtype=np.int64) ** 3
-    sums = (cubes[:, None] + cubes[None, :]).ravel()
-    _, mult = np.unique(sums, return_counts=True)
-    return int((mult.astype(np.int64) ** 2).sum())
+    cubes = _cubes(1, R)
+    return _sum_square_multiplicities(_pair_sums(cubes, cubes, 2, 2 * R**3))
 
 
 def _sum_square_multiplicities(values: np.ndarray) -> int:
     _, mult = np.unique(values, return_counts=True)
     return int((mult.astype(np.int64) ** 2).sum())
+
+
+# The four cubed index sets of one side of each moment's equation:
+# x in (P, 2P], h the smooth set up to R, k the bilinear products p*w.
+_MIXED_SHAPES = {"f2h6": "xhhh", "K2h6": "khhh", "K8": "kkkk", "f2K2h4": "xkhh"}
 
 
 def mixed_mean_count(P: float, R: float, eta: float, shape: str,
@@ -356,10 +337,10 @@ def mixed_mean_count(P: float, R: float, eta: float, shape: str,
     restricted primes at Y = P^(11/79), J = 0, which is empty at toy P;
     pass k_pairs explicitly for a nontrivial bilinear range.
     """
+    if shape not in _MIXED_SHAPES:
+        raise PreconditionError(f"unknown shape {shape!r}")
     if P > 30 or R > 30:
         raise ResourceGuardError(f"eighth-degree shapes need P, R <= 30, got ({P}, {R})")
-    smooth_members = np.asarray(smooth_set(max(R, 1.0), eta).members, dtype=np.int64)
-    xs = np.arange(math.floor(P) + 1, math.floor(2 * P) + 1, dtype=np.int64)
     if k_pairs is None:
         Y = P ** (11 / 79)
         prime_list = restricted_primes(max(Y, 1.0), 0).primes
@@ -367,37 +348,10 @@ def mixed_mean_count(P: float, R: float, eta: float, shape: str,
             (p, smooth_interval_set(max(P / p, 1.0), max(2 * P / Y, 1.0), eta).members)
             for p in prime_list
         )
-    k_values = np.array(
-        [p * w for p, ws in k_pairs for w in ws], dtype=np.int64
-    )
-
-    def cube(v: np.ndarray) -> np.ndarray:
-        return v.astype(np.int64) ** 3
-
-    h3 = cube(smooth_members)
-    if shape == "f2h6":
-        if len(smooth_members) == 0:
-            return 0
-        side = (cube(xs)[:, None, None, None] + h3[None, :, None, None]
-                + h3[None, None, :, None] + h3[None, None, None, :]).ravel()
-        return _sum_square_multiplicities(side)
-    if shape == "K2h6":
-        if len(k_values) == 0 or len(smooth_members) == 0:
-            return 0
-        side = (cube(k_values)[:, None, None, None] + h3[None, :, None, None]
-                + h3[None, None, :, None] + h3[None, None, None, :]).ravel()
-        return _sum_square_multiplicities(side)
-    if shape == "K8":
-        if len(k_values) == 0:
-            return 0
-        kc = cube(k_values)
-        side = (kc[:, None, None, None] + kc[None, :, None, None]
-                + kc[None, None, :, None] + kc[None, None, None, :]).ravel()
-        return _sum_square_multiplicities(side)
-    if shape == "f2K2h4":
-        if len(k_values) == 0 or len(smooth_members) == 0:
-            return 0
-        side = (cube(xs)[:, None, None, None] + cube(k_values)[None, :, None, None]
-                + h3[None, None, :, None] + h3[None, None, None, :]).ravel()
-        return _sum_square_multiplicities(side)
-    raise PreconditionError(f"unknown shape {shape!r}")
+    sets = {"x": range(math.floor(P) + 1, math.floor(2 * P) + 1),
+            "h": smooth_set(max(R, 1.0), eta).members,
+            "k": [p * w for p, ws in k_pairs for w in ws]}
+    side = np.zeros(1, dtype=np.int64)
+    for key in _MIXED_SHAPES[shape]:
+        side = (side[:, None] + np.asarray(sets[key], dtype=np.int64)[None, :] ** 3).ravel()
+    return _sum_square_multiplicities(side)

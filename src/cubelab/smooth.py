@@ -64,9 +64,16 @@ def _largest_prime_factor(limit: int) -> np.ndarray:
     if limit > _SIEVE_LIMIT:
         raise ResourceGuardError(f"sieve limit {limit} exceeds the desk-scale cap {_SIEVE_LIMIT}")
     lpf = np.zeros(limit + 1, dtype=np.int64)
-    for p in range(2, limit + 1):
+    root = math.isqrt(limit)
+    for p in range(2, root + 1):
         if lpf[p] == 0:
             lpf[p::p] = p  # ascending primes overwrite, leaving the largest
+    # Every composite has a prime factor <= root, so the zeros left above
+    # root are the primes P > root; each has cofactors k <= limit // P < root.
+    big = np.nonzero(lpf[root + 1 :] == 0)[0] + root + 1
+    for k in range(1, limit // (root + 1) + 1):
+        ps = big[: np.searchsorted(big, limit // k, side="right")]
+        lpf[k * ps] = ps
     return lpf
 
 

@@ -98,6 +98,10 @@ class TestExitCodes:
     def test_sieve_cap_is_3(self, capsys):
         assert main(["smooth", "--R", "4000001"]) == 3
 
+    def test_scan_window_guard_is_3(self, capsys):
+        assert main(["scan", "--n-lo", "1000000000", "--n-hi", "2000000000",
+                     "--theta", "0.3333333333333333"]) == 3
+
     def test_numerical_nonconvergence_is_4(self, capsys):
         # An impossible oscillatory-integral tolerance exhausts the panel
         # budget inside the arc model.

@@ -1,15 +1,22 @@
 import math
+import random
+import tracemalloc
+from collections import Counter
+from dataclasses import replace
+from itertools import product
 
 import mpmath as mp
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from cubelab.arcs import mean_value_grid, moment_integrand
 from cubelab.genfun import bilinear_spec, interval_spec, set_spec
+import cubelab.repcount as repcount
 from cubelab.params import PreconditionError, ResourceGuardError, derive_parameters
 from cubelab.repcount import (
+    _pair_sums,
     batch_scan,
     count_r,
     count_rho,
@@ -17,7 +24,6 @@ from cubelab.repcount import (
     hua_count,
     minicube_bound,
     mixed_mean_count,
-    two_cube_table,
 )
 from cubelab.smooth import smooth_interval_set, smooth_set
 
@@ -43,6 +49,28 @@ def brute_count_r(n: int, theta: float) -> int:
                     if c3 + y2**3 == n:
                         count += 1
     return count
+
+
+def brute_window(N_lo: int, N_hi: int, theta: float, low: int = 1) -> list[int]:
+    """Ordered counts for every n in (N_lo, N_hi] by a quadruple loop over cubes."""
+    counts = [0] * (N_hi - N_lo)
+    cubes = [x**3 for x in range(low, round(N_hi ** (1 / 3)) + 2)]
+    ycubes = cubes[: minicube_bound(N_hi, theta) - low + 1]
+    for c1, c2, d1, d2 in product(cubes, cubes, ycubes, ycubes):
+        s = c1 + c2 + d1 + d2
+        if N_lo < s <= N_hi and max(d1, d2) <= minicube_bound(s, theta) ** 3:
+            counts[s - N_lo - 1] += 1
+    return counts
+
+
+def peak_bytes(fn) -> int:
+    """Peak traced allocation while fn() runs (an exception propagates)."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 class TestMinicubeBound:
@@ -81,18 +109,37 @@ class TestMinicubeBound:
         assert minicube_bound(base**q - 1, p / q) == base**p - 1
 
 
-class TestTwoCubeTable:
+class TestPairSums:
     def test_small_table(self):
-        t = two_cube_table(0, 2, 100)
-        assert t.entries == {2: 1, 9: 2, 16: 1}
+        c = np.arange(1, 3, dtype=np.int64) ** 3
+        assert sorted(_pair_sums(c, c, 0, 100).tolist()) == [2, 9, 9, 16]
 
     def test_pair_count(self):
-        t = two_cube_table(0, 5, 2 * 125)
-        assert t.pair_count() == 25
+        c = np.arange(1, 6, dtype=np.int64) ** 3
+        assert len(_pair_sums(c, c, 0, 2 * 125)) == 25
 
     def test_range_guard(self):
-        with pytest.raises(ResourceGuardError):
-            two_cube_table(0, 100_000, 10)
+        # 10^10 ordered pairs: the guard trips on the span lengths, before
+        # any pair-sum array is allocated.
+        c = np.arange(1, 100_001, dtype=np.int64) ** 3
+
+        def call():
+            with pytest.raises(ResourceGuardError):
+                _pair_sums(c, c, 0, 2 * 10**15)
+
+        assert peak_bytes(call) < 16 << 20
+
+    @settings(max_examples=300, deadline=None)
+    @given(left=st.lists(st.integers(-1000, 1000), max_size=30),
+           right=st.lists(st.integers(-1000, 1000), max_size=30),
+           lo=st.integers(-2500, 2500), span=st.integers(-50, 2500))
+    def test_matches_filtered_outer_sum(self, left, right, lo, span):
+        # span < 0 gives an empty range [lo, hi].
+        hi = lo + span
+        a = np.array(sorted(left), dtype=np.int64)
+        b = np.array(right, dtype=np.int64)
+        want = sorted(x + y for x in left for y in right if lo <= x + y <= hi)
+        assert sorted(_pair_sums(a, b, lo, hi).tolist()) == want
 
 
 class TestCountR:
@@ -175,6 +222,22 @@ class TestCountR:
         with pytest.raises(ResourceGuardError):
             count_r(10**11, 0.3)
 
+    @settings(max_examples=60, deadline=None)
+    @given(theta=st.sampled_from([0.2, 0.25, 0.3, 1 / 3, 0.6, math.pi / 10])
+           | st.floats(0.05, 0.7),
+           b=st.integers(2, 12), before=st.integers(1, 40), after=st.integers(0, 40))
+    def test_window_paths_agree_across_bound_change(self, theta, b, before, after):
+        # The window straddles the first n with floor(n^theta) = b, so it
+        # spans two bound segments of batch_scan.
+        n0 = math.ceil(b ** (1 / theta))
+        N_lo, N_hi = max(3, n0 - before - 1), n0 + after
+        assume(N_hi <= 3000 and minicube_bound(N_lo + 1, theta) < minicube_bound(N_hi, theta))
+        scan = batch_scan(N_lo, N_hi, theta).counts.tolist()
+        assert scan == brute_window(N_lo, N_hi, theta)
+        assert scan == [count_r(n, theta).count for n in range(N_lo + 1, N_hi + 1)]
+        assert brute_window(N_lo, N_hi, theta, low=0) == [
+            count_r(n, theta, allow_zero=True).count for n in range(N_lo + 1, N_hi + 1)]
+
 
 class TestCountRho:
     def test_empty_prime_range_zero(self):
@@ -206,6 +269,28 @@ class TestCountRho:
                                 if x**3 + (p * w) ** 3 + y1**3 + y2**3 == n:
                                     brute += 1
             assert count_rho(n, toy).count == brute, n
+
+    @settings(max_examples=40, deadline=None)
+    @given(N=st.sampled_from([864, 5000]), Y=st.sampled_from([3.0, 6.0, 12.0]),
+           J=st.integers(1, 3), eta=st.floats(0.3, 0.95),
+           pick=st.tuples(st.integers(0, 10**4), st.integers(0, 20), st.integers(0, 20)))
+    @example(N=864, Y=3.0, J=1, eta=0.8, pick=(1, 0, 0))  # y1 = y2 = 1: n = 8^3 + 8^3 + 2
+    def test_matches_quintuple_loop(self, N, Y, J, eta, pick):
+        toy = replace(derive_parameters(N, 1 / 3, eta=0.5, L_override=4.0), Y=Y, J=J, eta=eta)
+        P = toy.P
+        primes = [p for p in range(2, math.floor(Y) + 1)
+                  if p % 3 == 2 and p > Y / 2**J and all(p % d for d in range(2, p))]
+        ys = smooth_set(toy.R, eta).members
+        bigs = [x**3 + (p * w) ** 3 for p in primes
+                for w in smooth_interval_set(max(P / p, 1.0), max(2 * P / Y, 1.0), eta).members
+                for x in range(math.floor(P) + 1, math.floor(2 * P) + 1)]
+        # n is the sum of a drawn tuple when that lands in the window.
+        k, i, j = pick
+        n = (bigs[k % len(bigs)] if bigs else 0) + ys[i % len(ys)] ** 3 + ys[j % len(ys)] ** 3
+        if not N < n <= 2 * N:
+            n = N + 1 + k % N
+        brute = sum(1 for b in bigs for y1 in ys for y2 in ys if b + y1**3 + y2**3 == n)
+        assert count_rho(n, toy).count == brute
 
     def test_monotone_in_eta(self):
         from dataclasses import replace
@@ -278,6 +363,15 @@ class TestCountSigma:
         for n in (900, 1000, 1500, 1729, 1730):
             assert count_sigma(n, 1 / 3, P, R).count == brute_count_sigma(n, P, R), n
 
+    @settings(max_examples=60, deadline=None)
+    @given(xs=st.lists(st.integers(1, 16), min_size=2, max_size=2),
+           ys=st.lists(st.integers(1, 7), min_size=2, max_size=2),
+           P=st.floats(0.5, 8.0), R=st.floats(0.5, 7.0))
+    def test_matches_quadruple_loop_property(self, xs, ys, P, R):
+        # n is a sum of four cubes, so the drawn tuple itself is a candidate.
+        n = sum(v**3 for v in xs + ys)
+        assert count_sigma(n, 0.3, P, R).count == brute_count_sigma(n, P, R)
+
     def test_empty_minicube_range(self):
         assert count_sigma(1000, 0.3, 6.0, 0.9).count == 0
 
@@ -331,6 +425,35 @@ class TestBatchScan:
     def test_window_guard(self):
         with pytest.raises(ResourceGuardError):
             batch_scan(10**9, 2 * 10**9, 1 / 3)
+
+    def test_window_guard_trips_before_work(self):
+        def call():
+            with pytest.raises(ResourceGuardError):
+                batch_scan(10**9, 2 * 10**9, 1 / 3)
+
+        assert peak_bytes(call) < 256 << 20
+
+    def test_minicubes_above_cube_root_are_clamped(self):
+        # At theta = 0.9 floor(n^theta) is about 251,000, but no minicube
+        # above the cube root of n can take part; the window must stay small.
+        N_lo = 10**6
+        res = None
+
+        def call():
+            nonlocal res
+            res = batch_scan(N_lo, N_lo + 10, 0.9)
+
+        assert peak_bytes(call) < 16 << 20
+        assert res.counts.tolist() == [count_r(n, 0.9).count for n in range(N_lo + 1, N_lo + 11)]
+
+    def test_window_near_ten_to_the_ten(self):
+        # floor(n^0.3) = 1000 here, so the two-cube sums that can meet a
+        # minicube pair spread over 2 * 10^9 values below the window.
+        N_hi = 10**10
+        res = batch_scan(N_hi - 10**4, N_hi, 0.3)
+        assert res.exceptional_count < 10**4
+        for n in random.Random(6).sample(range(N_hi - 10**4 + 1, N_hi + 1), 3):
+            assert res.counts[n - (N_hi - 10**4) - 1] == count_r(n, 0.3).count, n
 
 
 class TestHuaCount:
@@ -420,3 +543,29 @@ class TestMixedMeanCount:
     def test_guard(self):
         with pytest.raises(ResourceGuardError):
             mixed_mean_count(100.0, 4.0, 0.5, "f2h6")
+
+    def test_unknown_shape_rejected_before_any_set_is_built(self, monkeypatch):
+        def boom(*args, **kwargs):
+            raise AssertionError("an index set was built for an unknown shape")
+
+        for name in ("smooth_set", "smooth_interval_set", "restricted_primes"):
+            monkeypatch.setattr(repcount, name, boom)
+        with pytest.raises(PreconditionError):
+            mixed_mean_count(6.0, 4.0, 0.5, "f4h4")
+
+    @settings(max_examples=60, deadline=None)
+    @given(shape=st.sampled_from(["f2h6", "K2h6", "K8", "f2K2h4"]),
+           P=st.floats(1.0, 5.0), R=st.floats(1.0, 6.0), eta=st.floats(0.2, 0.9),
+           k_pairs=st.lists(st.tuples(st.sampled_from([2, 5, 11]),
+                                      st.lists(st.integers(1, 4), min_size=1, max_size=3)
+                                      .map(tuple)),
+                            min_size=1, max_size=2).map(tuple))
+    def test_matches_product_enumeration(self, shape, P, R, eta, k_pairs):
+        sets = {"f": range(math.floor(P) + 1, math.floor(2 * P) + 1),
+                "h": smooth_set(R, eta).members,
+                "K": [p * w for p, ws in k_pairs for w in ws]}
+        factors = {"f2h6": "fhhh", "K2h6": "Khhh", "K8": "KKKK", "f2K2h4": "fKhh"}[shape]
+        sums = Counter(sum(v**3 for v in quad)
+                       for quad in product(*(sets[key] for key in factors)))
+        want = sum(m * m for m in sums.values())
+        assert mixed_mean_count(P, R, eta, shape, k_pairs=k_pairs) == want

@@ -1,9 +1,11 @@
 import math
+import random
 
 import pytest
 
 from cubelab.params import PreconditionError, ResourceGuardError, derive_parameters
 from cubelab.smooth import (
+    _largest_prime_factor,
     prime_range_clears_smooth_cap,
     primes_in,
     restricted_primes,
@@ -23,6 +25,33 @@ def _is_smooth(m: int, cap: float) -> bool:
         if m == 1:
             break
     return True
+
+
+def _trial_lpf(m: int) -> int:
+    """Largest prime factor by trial division (0 for m < 2)."""
+    best, p = 0, 2
+    while p * p <= m:
+        while m % p == 0:
+            best, m = p, m // p
+        p += 1
+    return max(best, m) if m > 1 else best
+
+
+class TestLargestPrimeFactor:
+    def test_small_limits_match_trial_division(self):
+        for limit in list(range(0, 40)) + [48, 49, 50, 120, 121, 10_000]:
+            want = [_trial_lpf(m) for m in range(limit + 1)]
+            assert _largest_prime_factor(limit).tolist() == want, limit
+
+    def test_sampled_near_the_sieve_cap(self):
+        limit = 4_000_000
+        lpf = _largest_prime_factor(limit)
+        root = math.isqrt(limit)
+        ms = random.Random(7).sample(range(limit - 200_000, limit + 1), 300)
+        # prime squares and products straddling the square root, and the top
+        ms += [limit, 1999**2, 1997 * 2003, 2 * 1_999_993, 3 * 1_333_331, (root - 1) * (root + 1)]
+        for m in ms:
+            assert lpf[m] == _trial_lpf(m), m
 
 
 class TestSmoothSet:

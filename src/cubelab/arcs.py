@@ -14,7 +14,6 @@ quantities follow by subtraction.
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -27,7 +26,7 @@ from cubelab.genfun import (
     _batch_rule,
     _gauss_legendre,
     _smooth_count,
-    fractional_linear_phase,
+    fractional_phases,
     spec_from_params,
     v_integral,
     w_integral,
@@ -189,6 +188,8 @@ class ArcIntegrand:
     twist: int = 0
 
     def __post_init__(self) -> None:
+        if abs(self.twist) >= 2**63:
+            raise PreconditionError(f"|twist| must be below 2^63, got {self.twist}")
         if sum(e for _, e, _ in self.factors) < 1:
             raise PreconditionError("integrand must have total degree >= 1")
         if any(e < 1 for _, e, _ in self.factors):
@@ -200,21 +201,33 @@ class ArcIntegrand:
         return span + abs(self.twist)
 
 
-def evaluate_integrand(alpha: float, integrand: ArcIntegrand) -> complex:
-    out = 1 + 0j
-    for spec, exponent, conjugated in integrand.factors:
-        val = weyl_sum(alpha, spec)
-        if conjugated:
-            val = val.conjugate()
-        out *= val**exponent
-    if integrand.twist:
-        out *= cmath.exp(-2j * cmath.pi * fractional_linear_phase(alpha, integrand.twist))
+def _cmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a * b rounded as Python's complex product (numpy's SIMD multiply may fuse the terms)."""
+    out = np.empty(np.broadcast(a, b).shape, dtype=np.complex128)
+    out.real = a.real * b.real - a.imag * b.imag
+    out.imag = a.real * b.imag + a.imag * b.real
     return out
+
+
+def evaluate_integrand(alpha: float | np.ndarray, integrand: ArcIntegrand) -> complex | np.ndarray:
+    """The integrand at a float alpha, or at each entry of an array (bit for bit alike)."""
+    out = np.ones(np.shape(alpha), dtype=np.complex128)
+    for spec, exponent, conjugated in integrand.factors:
+        val = np.asarray(weyl_sum(alpha, spec))
+        val = np.conj(val) if conjugated else val
+        while exponent:  # square-and-multiply
+            if exponent & 1:
+                out = _cmul(out, val)
+            val, exponent = _cmul(val, val), exponent >> 1
+    if integrand.twist:
+        twist = fractional_phases(alpha, np.array([integrand.twist]), power=1)[..., 0]
+        out = _cmul(out, np.exp(-2j * np.pi * twist))
+    return out if np.ndim(alpha) else complex(out)
 
 
 def integrate_over_arcs(integrand: ArcIntegrand, dissection: ArcDissection,
                         tol: float = 1e-9) -> complex:
-    """Sum of per-arc adaptive quadratures, per-arc tolerance tol/#arcs."""
+    """Sum of per-arc adaptive quadratures (tol/#arcs each), one call per panel grid."""
     if tol <= 0:
         raise PreconditionError(f"tol must be positive, got {tol}")
     if not dissection.arcs:
@@ -226,8 +239,9 @@ def integrate_over_arcs(integrand: ArcIntegrand, dissection: ArcDissection,
         if arc.length == 0.0:
             continue
         cycles = arc.length * freq
+        # cumsum adds the weighted nodes in order, as the per-node loop did
         val, _ = _gauss_legendre(
-            lambda g, w: sum(wk * evaluate_integrand(a, integrand) for a, wk in zip(g, w)),
+            lambda g, w: complex(np.cumsum(evaluate_integrand(g, integrand) * w)[-1]),
             arc.lo, arc.hi, max(2, 2 * (int(cycles / 2) + 1)),  # even: the center is an edge
             400_000, lambda cur, prev: abs(cur - prev) <= per_arc,
         )

@@ -30,10 +30,11 @@ from cubelab.arcs import (
     n_dissection,
     p_dissection,
 )
-from cubelab.expsums import ExpSumValue, cubic_gauss_sum, singular_series_truncated
+from cubelab.expsums import cubic_gauss_sum, singular_series_truncated
 from cubelab.experiments import predict_table, residual_sweep
 from cubelab.genfun import QuadratureError, interval_spec, spec_from_params, weyl_sum
 from cubelab.params import (
+    SAMPLE_CAP,
     Parameters,
     PreconditionError,
     ResourceGuardError,
@@ -108,40 +109,29 @@ class Emitter:
         }
 
     def finish(self, config: dict) -> None:
+        """Render once: summary comments go to stdout, the manifest pointer to files."""
         self.mark("emit")
         out = getattr(self.args, "out", None)
-        fmt = getattr(self.args, "format", "csv")
+        manifest = self._manifest(config)
+        if getattr(self.args, "format", "csv") == "json":
+            lines = [json.dumps({"rows": [dict(zip(self.columns, r)) for r in self.rows],
+                                 "manifest": manifest}, indent=2, default=_fmt)]
+        else:
+            lines = [",".join(_fmt(v) for v in row) for row in self.rows]
+            if not self.bare:
+                lines.insert(0, ",".join(self.columns))
+                if out is None:
+                    lines += [f"# {key} = {_fmt(val)}" for key, val in self.summary.items()]
+                else:
+                    lines.insert(0, f"# manifest: {Path(out).name}.manifest.json")
         if out is None:
-            if fmt == "json":
-                payload = {"rows": [dict(zip(self.columns, r)) for r in self.rows],
-                           "manifest": self._manifest(config)}
-                print(json.dumps(payload, indent=2, default=_fmt))
-            elif self.bare:
-                for row in self.rows:
-                    print(",".join(_fmt(v) for v in row))
-            else:
-                print(",".join(self.columns))
-                for row in self.rows:
-                    print(",".join(_fmt(v) for v in row))
-                for key, val in self.summary.items():
-                    print(f"# {key} = {_fmt(val)}")
+            if lines:
+                print("\n".join(lines))
             return
         out_path = Path(out)
-        manifest_path = out_path.with_suffix(out_path.suffix + ".manifest.json")
-        manifest = self._manifest(config)
-        if fmt == "json":
-            payload = {"rows": [dict(zip(self.columns, r)) for r in self.rows],
-                       "manifest": manifest}
-            out_path.write_text(json.dumps(payload, indent=2, default=_fmt) + "\n")
-        elif self.bare:
-            lines = [",".join(_fmt(v) for v in row) for row in self.rows]
-            out_path.write_text("\n".join(lines) + "\n")
-        else:
-            lines = [f"# manifest: {manifest_path.name}"]
-            lines.append(",".join(self.columns))
-            lines.extend(",".join(_fmt(v) for v in row) for row in self.rows)
-            out_path.write_text("\n".join(lines) + "\n")
-        manifest_path.write_text(json.dumps(manifest, indent=2, default=_fmt) + "\n")
+        out_path.write_text("\n".join(lines) + "\n")
+        Path(f"{out_path}.manifest.json").write_text(
+            json.dumps(manifest, indent=2, default=_fmt) + "\n")
         print(f"wrote {out_path} ({len(self.rows)} rows)", file=sys.stderr)
 
 
@@ -195,6 +185,8 @@ def cmd_predict(args, em: Emitter) -> None:
     if args.n is not None:
         ns = [args.n]
     else:
+        if args.samples > SAMPLE_CAP:
+            raise ResourceGuardError(f"{args.samples} samples exceed the sample cap {SAMPLE_CAP}")
         rng = np.random.default_rng(args.seed)
         ns = sorted(int(v) for v in rng.integers(args.n_lo + 1, args.n_hi + 1,
                                                  size=args.samples))
@@ -213,8 +205,8 @@ def cmd_expsum(args, em: Emitter) -> None:
         if args.q is None:
             raise PreconditionError("expsum needs either --q/--a or --n/--qmax")
         em.set_columns("q", "a", "re", "im")
-        val = ExpSumValue(q=args.q, a=args.a, value=cubic_gauss_sum(args.q, args.a))
-        em.add_row(val.q, val.a, val.value.real, val.value.imag)
+        val = cubic_gauss_sum(args.q, args.a)
+        em.add_row(args.q, args.a, val.real, val.imag)
     em.mark("expsum")
 
 
@@ -244,9 +236,11 @@ def cmd_genfun(args, em: Emitter) -> None:
         raise PreconditionError(f"--alpha-grid wants lo:hi:n, got {args.alpha_grid!r}") from exc
     if count < 1:
         raise PreconditionError("--alpha-grid needs at least one point")
-    for alpha in np.linspace(lo, hi, count):
-        val = weyl_sum(float(alpha), spec)
-        em.add_row(float(alpha), val.real, val.imag)
+    if count > SAMPLE_CAP:
+        raise ResourceGuardError(f"{count} grid points exceed the sample cap {SAMPLE_CAP}")
+    alphas = np.linspace(lo, hi, count)
+    for alpha, val in zip(alphas.tolist(), weyl_sum(alphas, spec).tolist()):
+        em.add_row(alpha, val.real, val.imag)
     em.mark("evaluate")
 
 

@@ -13,7 +13,7 @@ from cubelab.expsums import (
     singular_series_truncated,
 )
 from cubelab.genfun import interval_spec, weyl_sum
-from cubelab.params import PreconditionError, derive_parameters
+from cubelab.params import SAMPLE_CAP, PreconditionError, ResourceGuardError, derive_parameters
 from cubelab.repcount import count_r
 
 __all__ = ["ResidualSample", "ResidualSweep", "residual_sweep", "predict_table"]
@@ -53,29 +53,27 @@ def residual_sweep(P: float, q_max: int, samples: int = 9,
         raise PreconditionError(f"q_max must be <= 50, got {q_max}")
     if q_max < 1 or samples < 1:
         raise PreconditionError("q_max and samples must be positive")
+    if samples > SAMPLE_CAP:
+        raise ResourceGuardError(f"{samples} samples exceed the sample cap {SAMPLE_CAP}")
     N = int(round(4 * P**3))
     params = derive_parameters(N, 1 / 3, L_override=min(float(q_max), float(N)))
     dissection = m_dissection(params, X=P ** (6 / 5))
     f_spec = interval_spec(params.P, 2 * params.P)
 
     fractions = np.linspace(-0.95, 0.95, samples)
+    points = [(arc, arc.center + float(frac) * arc.half_width) for arc in dissection.arcs
+              if arc.label.q <= q_max and arc.length != 0.0 for frac in fractions]
+    points = [(arc, alpha) for arc, alpha in points if 0.0 <= alpha < 1.0]
+    sums = weyl_sum(np.array([alpha for _, alpha in points], dtype=np.float64), f_spec)
     out = []
-    worst = 0.0
-    for arc in dissection.arcs:
-        if arc.label.q > q_max or arc.length == 0.0:
-            continue
-        for frac in fractions:
-            alpha = arc.center + float(frac) * arc.half_width
-            if not 0.0 <= alpha < 1.0:
-                continue
-            beta = alpha - arc.center
-            model = major_arc_approximant(alpha, dissection, "f-star", tol=tol)
-            residual = abs(weyl_sum(alpha, f_spec) - model)
-            envelope = math.sqrt(arc.label.q) * math.sqrt(1 + params.P**3 * abs(beta))
-            out.append(ResidualSample(q=arc.label.q, a=arc.label.a, beta=beta,
-                                      residual=residual, envelope=envelope))
-            worst = max(worst, residual / envelope)
-    return ResidualSweep(P=params.P, q_max=q_max, samples=tuple(out), max_ratio=worst)
+    for (arc, alpha), f in zip(points, sums.tolist()):
+        beta = alpha - arc.center
+        model = major_arc_approximant(alpha, dissection, "f-star", tol=tol)
+        envelope = math.sqrt(arc.label.q) * math.sqrt(1 + params.P**3 * abs(beta))
+        out.append(ResidualSample(q=arc.label.q, a=arc.label.a, beta=beta,
+                                  residual=abs(f - model), envelope=envelope))
+    return ResidualSweep(P=params.P, q_max=q_max, samples=tuple(out),
+                         max_ratio=max((s.ratio for s in out), default=0.0))
 
 
 def predict_table(ns: list[int], theta: float, Q_max: int) -> list[dict]:

@@ -19,7 +19,6 @@ import numpy as np
 from cubelab.params import PreconditionError
 
 __all__ = [
-    "ExpSumValue",
     "SeriesReport",
     "CongruenceCounter",
     "LocalDensity",
@@ -41,13 +40,6 @@ __all__ = [
 MAIN_TERM_CONSTANT: float = math.gamma(4.0 / 3.0) ** 2 / math.gamma(2.0 / 3.0)
 
 _DENSITY_MODULUS_CAP = 10**6
-
-
-@dataclass(frozen=True)
-class ExpSumValue:
-    q: int
-    a: int
-    value: complex
 
 
 @dataclass(frozen=True)
@@ -238,12 +230,10 @@ def singular_series_values(ns: np.ndarray, Q_max: int) -> np.ndarray:
     return out
 
 
-def _four_cube_density(modulus: int, n: int) -> float:
-    """M(modulus, n) / modulus^3 by convolving the cube-frequency vector."""
+def _density_table(modulus: int) -> np.ndarray:
+    """M(modulus, r) / modulus^3 for every residue r, by convolving the cube-frequency vector."""
     counts = _cube_counts(modulus).astype(np.float64)
-    transform = np.fft.rfft(counts) ** 4
-    solutions = np.fft.irfft(transform, modulus)[n % modulus]
-    return float(solutions) / float(modulus) ** 3
+    return np.fft.irfft(np.fft.rfft(counts) ** 4, modulus) / float(modulus) ** 3
 
 
 def local_density(p: int, n: int, k_max: int) -> LocalDensity:
@@ -267,10 +257,10 @@ def local_density(p: int, n: int, k_max: int) -> LocalDensity:
         )
 
     hensel_certified = (3 * n) % p != 0
-    value = _four_cube_density(p, n)
+    value = float(_density_table(p)[n % p])
     k_used, converged = 1, hensel_certified
     for k in range(2, k_max + 1):
-        nxt = _four_cube_density(p**k, n)
+        nxt = float(_density_table(p**k)[n % p**k])
         converged = abs(nxt - value) <= 1e-6 * max(abs(nxt), 1e-30)
         value, k_used = nxt, k
         if converged:
@@ -290,23 +280,13 @@ def main_term(n: int, theta: float, Q_max: int) -> float:
     return MAIN_TERM_CONSTANT * series * float(n) ** (2.0 * theta - 1.0 / 3.0)
 
 
-@lru_cache(maxsize=64)
-def _deep_density_table(p: int) -> tuple[int, np.ndarray]:
-    """(modulus, densities by residue) at the deepest level p^k <= 10^6."""
-    k = 1
-    while p ** (k + 1) <= _DENSITY_MODULUS_CAP:
-        k += 1
-    modulus = p**k
-    counts = _cube_counts(modulus).astype(np.float64)
-    table = np.fft.irfft(np.fft.rfft(counts) ** 4, modulus) / float(modulus) ** 3
-    return modulus, table
-
-
 @lru_cache(maxsize=1024)
-def _unit_density_table(p: int) -> np.ndarray:
-    """Level-1 densities by residue mod p."""
-    counts = _cube_counts(p).astype(np.float64)
-    return np.fft.irfft(np.fft.rfft(counts) ** 4, p) / float(p) ** 3
+def _euler_factor_table(p: int) -> tuple[int, np.ndarray]:
+    """(modulus, _density_table(modulus)): the deepest p^k <= 10^6 for p <= 31, else p."""
+    modulus = p
+    while p <= 31 and modulus * p <= _DENSITY_MODULUS_CAP:
+        modulus *= p
+    return modulus, _density_table(modulus)
 
 
 def singular_series_euler(ns: np.ndarray, p_max: int = 2000) -> np.ndarray:
@@ -325,10 +305,6 @@ def singular_series_euler(ns: np.ndarray, p_max: int = 2000) -> np.ndarray:
         raise PreconditionError("all n must be positive")
     out = np.ones(len(ns), dtype=np.float64)
     for p in primes_in(1, p_max):
-        p = int(p)
-        if p <= 31:
-            modulus, table = _deep_density_table(p)
-            out *= table[ns % modulus]
-        else:
-            out *= _unit_density_table(p)[ns % p]
+        modulus, table = _euler_factor_table(int(p))
+        out *= table[ns % modulus]
     return out

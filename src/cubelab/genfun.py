@@ -2,12 +2,13 @@
 
 Phase accuracy is the whole game here: alpha*x^3 mod 1 computed as a naive
 double product loses every significant digit once x^3 approaches 2^53, so
-fractional_phases reduces exactly, in one of three branches.  Up to
-x = 208,000 the cube is an exact double and Dekker two-term products
-recover the rounding error.  Above that, alpha is taken as the dyadic
-rational m*2^-s it is (m odd): for s <= 64 a wrapping uint64 product gives
-m*x^3 mod 2^s exactly, and only for s > 64 (alpha < 2^-11 with a full
-mantissa) does a per-term big-integer loop run.
+fractional_phases, the package's one phase reduction (power 3 for Weyl
+terms, 1 for the twist e(-n alpha)), reduces exactly for a float alpha or a
+whole array of them.  Up to x = 208,000 (k < 2^53 at power 1) x^power is an
+exact double and Dekker two-term products recover the rounding error.
+Above that, alpha is the dyadic rational m*2^-s it is (m odd): for s <= 64
+a wrapping uint64 product gives m*x^power mod 2^s exactly, and only for
+s > 64 (alpha < 2^-11 with a full mantissa) does a big-integer loop run.
 Every integral in this module and in arcs goes through one driver,
 _gauss_legendre: 16-point Gauss-Legendre on a panel grid whose count,
 seeded by the oscillation count, doubles until the caller's stopping test
@@ -46,7 +47,9 @@ __all__ = [
 ]
 
 _TERM_GUARD = 10**8
-_FLOAT_EXACT_CUBE = 208_000  # largest x with x^3 < 2^53
+_FLOAT_EXACT_CUBE = 208_000  # a round bound below 208,063, the largest x with x^3 < 2^53
+_DEKKER_LIMIT = {3: _FLOAT_EXACT_CUBE, 1: 2**53 - 1}  # largest |x| with x^power exact
+_CHUNK_ENTRIES = 4_000_000  # phase-matrix entries evaluated at once (64 MB complex)
 
 
 class QuadratureError(RuntimeError):
@@ -161,82 +164,69 @@ def _split_hi_lo(x: np.ndarray | float):
     return hi, x - hi
 
 
-def fractional_phases(alpha: float, values: np.ndarray) -> np.ndarray:
-    """alpha * values^3 mod 1, elementwise, to full double accuracy.
+def fractional_phases(alpha: float | np.ndarray, values: np.ndarray,
+                      power: int = 3) -> np.ndarray:
+    """alpha * values^power mod 1, elementwise, to full double accuracy.
 
-    Three branches, all exact before the final rounding.  If every value is
-    at most 208,000, values^3 is an exact double and a Dekker product-split
-    recovers the error of alpha * values^3.  Otherwise alpha, as a double,
-    IS a dyadic rational m * 2^-s with m odd, so the phase is
-    (m * values^3 mod 2^s) * 2^-s: computed in wrapping uint64 arithmetic
-    when s <= 64 (only the residue mod 2^64 of values^3 matters), and by a
-    per-term big-integer loop when s > 64, that is alpha < 2^-11 with a
-    full mantissa.  The exact branches return the correctly rounded
-    residue, which is 1.0 where it rounds up; the Dekker branch returns
-    0.0 there.
+    A float alpha gives one value per entry of values, a 1-D array one row
+    per alpha.  Dekker runs while every |value|^power is an exact double,
+    else each row is its dyadic residue (module docstring).  The exact
+    branches return the correctly rounded residue, which is 1.0 where it
+    rounds up; the Dekker branch returns 0.0 there.
     """
-    alpha = alpha - math.floor(alpha)  # exact: both are multiples of ulp(alpha)
+    if power not in _DEKKER_LIMIT:
+        raise PreconditionError(f"power must be 1 or 3, got {power}")
+    alphas = np.atleast_1d(np.asarray(alpha, dtype=np.float64))
+    # alpha - floor(alpha) is exact except on (-1, 0), which each branch reduces itself
+    alphas = np.where((alphas >= 0) | (alphas <= -1), alphas - np.floor(alphas), alphas)
     values = np.asarray(values, dtype=np.int64)
-    if len(values) == 0:
-        return np.empty(0, dtype=np.float64)
-    if int(values.max()) > _FLOAT_EXACT_CUBE:
-        return _fractional_phases_exact(alpha, values)
-    cubes = values.astype(np.float64) ** 3
-    prod = alpha * cubes
-    ahi, alo = _split_hi_lo(alpha)
-    chi, clo = _split_hi_lo(cubes)
-    err = ((ahi * chi - prod) + ahi * clo + alo * chi) + alo * clo
-    frac = (prod - np.floor(prod)) + err
-    return frac - np.floor(frac)
+    if len(values) and max(int(values.max()), -int(values.min())) > _DEKKER_LIMIT[power]:
+        out = np.empty((len(alphas), len(values)), dtype=np.float64)
+        for row, a in zip(out, alphas.tolist()):
+            _dyadic_phases(a, values, power, row)
+    else:
+        powers = values.astype(np.float64) ** power
+        prod = alphas[:, None] * powers
+        ahi, alo = _split_hi_lo(alphas[:, None])
+        phi, plo = _split_hi_lo(powers)
+        err = ((ahi * phi - prod) + ahi * plo + alo * phi) + alo * plo
+        frac = (prod - np.floor(prod)) + err
+        out = frac - np.floor(frac)
+    return out if np.ndim(alpha) else out[0]
 
 
-def fractional_linear_phase(alpha: float, k: int) -> float:
-    """alpha * k mod 1 to full double accuracy (k a positive integer)."""
-    alpha = alpha - math.floor(alpha)
-    if k < 2**53:
-        kf = float(k)
-        prod = alpha * kf
-        ahi, alo = _split_hi_lo(alpha)
-        khi, klo = _split_hi_lo(kf)
-        err = ((ahi * khi - prod) + ahi * klo + alo * khi) + alo * klo
-        frac = (prod - math.floor(prod)) + err
-        return frac - math.floor(frac)
-    mant, exp = math.frexp(alpha)
-    mant_int = int(mant * (1 << 53))
-    shift = 53 - exp
-    mask = (1 << shift) - 1
-    return ((mant_int * k) & mask) * math.ldexp(1.0, -shift)
-
-
-def _fractional_phases_exact(alpha: float, values: np.ndarray) -> np.ndarray:
+def _dyadic_phases(alpha: float, values: np.ndarray, power: int, out: np.ndarray) -> None:
+    """Write alpha * values^power mod 1 into out, alpha taken as the dyadic rational it is."""
     mant, exp = math.frexp(alpha)
     m = int(mant * (1 << 53))
     if m == 0:
-        return np.zeros(len(values), dtype=np.float64)
+        out[:] = 0.0
+        return
     zeros = (m & -m).bit_length() - 1
     m, shift = m >> zeros, 53 - exp - zeros  # alpha = m * 2^-shift, m odd, shift >= 1
     mask = (1 << shift) - 1
-    scale = math.ldexp(1.0, -shift)
-    if shift <= 64:  # x^3 may wrap mod 2^64; its residue mod 2^shift survives
+    m &= mask  # m mod 2^shift, which a negative alpha needs
+    if shift <= 64:  # x^power may wrap mod 2^64; its residue mod 2^shift survives
         x = values.astype(np.uint64)
-        return ((x * x * x * np.uint64(m)) & np.uint64(mask)).astype(np.float64) * scale
-    out = np.empty(len(values), dtype=np.float64)
-    for i, v in enumerate(values.tolist()):
-        out[i] = ((m * v**3) & mask) * scale
-    return out
+        np.multiply((x**power * np.uint64(m)) & np.uint64(mask), math.ldexp(1.0, -shift), out=out)
+    else:  # int / int rounds correctly, even past the float range of 2^shift
+        out[:] = [((m * v**power) & mask) / (mask + 1) for v in values.tolist()]
 
 
-def weyl_sum(alpha: float, spec: WeylSumSpec) -> complex:
-    """sum over the spec'd index set of e(alpha x^3)."""
+def weyl_sum(alpha: float | np.ndarray, spec: WeylSumSpec) -> complex | np.ndarray:
+    """sum_x e(alpha x^3) over the spec; an array alpha gives the float calls' bits per entry."""
     if spec.term_count() > _TERM_GUARD:
         raise PreconditionError(
             f"spec has {spec.term_count()} terms, beyond the {_TERM_GUARD} guard"
         )
     values = spec.term_values()
-    if len(values) == 0:
-        return 0j
-    phases = fractional_phases(alpha, values)
-    return complex(np.exp(2j * np.pi * phases).sum())
+    alphas = np.atleast_1d(alpha)
+    out = np.zeros(len(alphas), dtype=np.complex128)
+    chunk = max(1, _CHUNK_ENTRIES // max(len(values), 1))
+    for start in range(0, len(alphas), chunk):
+        phases = fractional_phases(alphas[start : start + chunk], values)
+        out[start : start + chunk] = np.exp(2j * np.pi * phases).sum(axis=1)
+    return out if np.ndim(alpha) else complex(out[0])
 
 
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(16)
@@ -295,7 +285,7 @@ def _batch_rule(betas: np.ndarray, lo: float, hi: float, tol: float,
     def integrand(g: np.ndarray, w: np.ndarray) -> np.ndarray:
         g3 = g**3
         out = np.empty(len(betas), dtype=np.complex128)
-        chunk = max(1, 4_000_000 // len(g3))
+        chunk = max(1, _CHUNK_ENTRIES // len(g3))
         for start in range(0, len(betas), chunk):
             z = 2j * np.pi * betas[start : start + chunk, None] * g3
             np.exp(z, out=z)

@@ -17,6 +17,7 @@ __all__ = [
     "Rational",
     "PreconditionError",
     "ResourceGuardError",
+    "SAMPLE_CAP",
     "derive_parameters",
     "integer_cube_root",
     "integer_root",
@@ -31,6 +32,10 @@ class PreconditionError(ValueError):
 
 class ResourceGuardError(RuntimeError):
     """A request would exceed the documented desk-scale resource budget."""
+
+
+#: Most points an alpha grid or a sample count may ask for, checked before allocation.
+SAMPLE_CAP = 10**6
 
 
 @dataclass(frozen=True)

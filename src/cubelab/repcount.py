@@ -21,6 +21,7 @@ import mpmath as mp
 import numpy as np
 
 from cubelab.expsums import MAIN_TERM_CONSTANT, singular_series_values
+from cubelab.genfun import spec_from_params
 from cubelab.params import (
     Parameters,
     PreconditionError,
@@ -132,16 +133,16 @@ def _window_counts(N_lo: int, N_hi: int, theta: float, low: int = 1) -> np.ndarr
     if N_hi - N_lo > _SIZE_CAP:
         raise ResourceGuardError(f"window width {N_hi - N_lo} exceeds the size cap {_SIZE_CAP}")
     counts = np.zeros(N_hi - N_lo, dtype=np.int64)  # index n - (N_lo + 1)
-    segments = _bound_segments(N_lo, N_hi, theta)
-    cubes = _cubes(low, integer_cube_root(N_hi - 2 * low**3))
     # A minicube above the cube root of n - 3 low^3 has no partners.
-    b_hi = min(segments[-1][2], integer_cube_root(N_hi - 3 * low**3))
+    segments = _bound_segments(N_lo, N_hi, theta, integer_cube_root(N_hi - 3 * low**3))
+    cubes = _cubes(low, integer_cube_root(N_hi - 2 * low**3))
+    b_hi = segments[-1][2]
     big = _pair_sums(cubes, cubes, max(2 * low**3, N_lo + 1 - 2 * b_hi**3), N_hi - 2 * low**3)
     if not big.size:
         return counts
     big.sort()
     for seg_lo, seg_hi, b in segments:
-        small = cubes[: min(b, b_hi) - low + 1]
+        small = cubes[: b - low + 1]
         # Sorted t makes the match queries monotone, which searchsorted
         # serves about five times faster than the unsorted pair order.
         t = np.sort(_pair_sums(small, small, seg_lo - big[-1], seg_hi - big[0]))
@@ -182,9 +183,8 @@ def count_rho(n: int, params: Parameters) -> RepCountReport:
     """
     if not params.N < n <= 2 * params.N:
         raise PreconditionError(f"n={n} outside the window ({params.N}, {2 * params.N}]")
-    P = params.P
-    primes = restricted_primes(params.Y, params.J).primes
-    if not primes:
+    pw = spec_from_params("K", params).term_values()
+    if not len(pw):
         return RepCountReport(n=n, theta=params.theta, count=0, variant="rho")
     smooth_members = smooth_set(params.R, params.eta).members
     if len(smooth_members) ** 2 > 4_000_000:
@@ -193,11 +193,7 @@ def count_rho(n: int, params: Parameters) -> RepCountReport:
         )
     h3 = np.asarray(smooth_members, dtype=np.int64) ** 3
     smooth_pairs = np.sort(_pair_sums(h3, h3, 2, n))
-    pw = [p * w for p in primes
-          for w in smooth_interval_set(max(P / p, 1.0), max(2 * P / params.Y, 1.0),
-                                       params.eta).members]
-    big = _pair_sums(_cubes(math.floor(P) + 1, math.floor(2 * P)),
-                     np.asarray(pw, dtype=np.int64) ** 3, 2, n - 2)
+    big = _pair_sums(_cubes(math.floor(params.P) + 1, math.floor(2 * params.P)), pw**3, 2, n - 2)
     count = int(_spans(smooth_pairs, big, n, n)[1].sum())
     return RepCountReport(n=n, theta=params.theta, count=count, variant="rho")
 
@@ -250,12 +246,15 @@ class ScanResult:
         return out
 
 
-def _bound_segments(n_lo: int, n_hi: int, theta: float):
-    """Partition (n_lo, n_hi] into runs of constant floor(n^theta)."""
+def _bound_segments(n_lo: int, n_hi: int, theta: float, cap: int):
+    """Runs of constant min(floor(n^theta), cap) over (n_lo, n_hi]; past cap, one run."""
     segments = []
     start = n_lo + 1
     while start <= n_hi:
         b = minicube_bound(start, theta)
+        if b >= cap:
+            segments.append((start, n_hi, cap))
+            break
         lo, hi = start, n_hi
         while lo < hi:  # largest n in the window with the same bound
             mid = (lo + hi + 1) // 2

@@ -20,7 +20,6 @@ __all__ = [
     "SmoothSet",
     "RestrictedPrimeRange",
     "smooth_set",
-    "smooth_star_set",
     "smooth_interval_set",
     "restricted_primes",
     "primes_in",
@@ -41,9 +40,6 @@ class SmoothSet:
 
     def __len__(self) -> int:
         return len(self.members)
-
-    def as_array(self) -> np.ndarray:
-        return np.asarray(self.members, dtype=np.int64)
 
 
 @dataclass(frozen=True)
@@ -94,14 +90,6 @@ def smooth_set(R: float, eta: float) -> SmoothSet:
         raise PreconditionError(f"eta must lie in (0, 1), got {eta}")
     cap = _snap_integer(R**eta)
     return SmoothSet(0.0, R, cap, _smooth_members(1, math.floor(R), cap))
-
-
-def smooth_star_set(X: float, Z: float, eta: float) -> SmoothSet:
-    """The set of m in [1, X] whose prime factors are all <= Z^eta."""
-    if X < 1 or Z < 1:
-        raise PreconditionError(f"X and Z must be >= 1, got X={X}, Z={Z}")
-    cap = _snap_integer(Z**eta)
-    return SmoothSet(0.0, X, cap, _smooth_members(1, math.floor(X), cap))
 
 
 def smooth_interval_set(X: float, Z: float, eta: float) -> SmoothSet:

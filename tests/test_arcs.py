@@ -1,4 +1,6 @@
+import cmath
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -297,6 +299,42 @@ class TestIntegrateOverArcs:
             val = (mean_value_grid(full, grid) - mean_value_grid(inner, grid)).real
             exact = count_sigma(n, theta, params.P, params.R).count
             assert val == pytest.approx(exact, abs=1e-6), n
+
+    @settings(max_examples=60, deadline=None)
+    @given(alphas=st.lists(st.floats(-1.0, 2.0), max_size=10),
+           exponents=st.tuples(st.integers(1, 5), st.integers(1, 3)),
+           conjugated=st.booleans(),
+           twist=st.one_of(st.integers(-10**6, 10**6), st.integers(2**53, 2**63 - 1)))
+    def test_array_alpha_matches_float_calls(self, alphas, exponents, conjugated, twist):
+        # One evaluation of a whole node array against one call per node,
+        # twists past 2^53 (the exact dyadic branch) included; both against
+        # a direct product of term sums with Fraction-exact phases.
+        f = interval_spec(3, 20)
+        k = bilinear_spec([(2, (1, 2, 3)), (5, (4,))])
+        integrand = ArcIntegrand(factors=((f, exponents[0], conjugated), (k, exponents[1], False)),
+                                 twist=twist)
+        got = evaluate_integrand(np.array(alphas, dtype=np.float64), integrand)
+        want = [evaluate_integrand(a, integrand) for a in alphas]
+        assert got.shape == (len(alphas),)
+        assert got.tolist() == want  # products round as Python's, so bit for bit
+
+        def e(a, m):
+            return cmath.exp(2j * math.pi * float(Fraction(a) * m % 1))
+
+        for a, w in zip(alphas, want):
+            fa = sum(e(a, x**3) for x in range(4, 21))
+            ka = sum(e(a, x**3) for x in (2, 4, 6, 20))
+            oracle = (fa.conjugate() if conjugated else fa) ** exponents[0] * ka ** exponents[1]
+            oracle *= e(a, -twist)
+            assert abs(w - oracle) <= 1e-9 * max(1.0, abs(oracle))
+
+    def test_twist_past_int64_is_a_precondition(self):
+        f = interval_spec(0, 4)
+        with pytest.raises(PreconditionError):
+            ArcIntegrand(factors=((f, 1, False),), twist=2**63)
+        with pytest.raises(PreconditionError):
+            ArcIntegrand(factors=((f, 1, False),), twist=-(2**63))
+        ArcIntegrand(factors=((f, 1, False),), twist=2**63 - 1)
 
     def test_additivity_over_disjoint_families(self):
         k = bilinear_spec([(2, (1, 2))])

@@ -1,10 +1,20 @@
+import contextlib
 import csv
+import importlib
+import io
 import json
 import math
+import tempfile
+from argparse import Namespace
+from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from cubelab.cli import main
+from cubelab.cli import Emitter, _fmt, main
+
+BENCH = Path(__file__).resolve().parents[1] / "bench"
 
 
 def run(capsys, *argv) -> tuple[int, str]:
@@ -102,6 +112,16 @@ class TestExitCodes:
         assert main(["scan", "--n-lo", "1000000000", "--n-hi", "2000000000",
                      "--theta", "0.3333333333333333"]) == 3
 
+    @pytest.mark.parametrize("argv", [
+        ("genfun", "--kind", "f", "--alpha-grid", "0:1:10000000000000"),
+        ("predict", "--theta", "0.3", "--samples", "10000000000000"),
+        ("residual", "--samples", "10000000000000"),
+    ])
+    def test_sample_counts_are_guarded_before_allocation_3(self, capsys, argv):
+        # 10^13 points would be an 80 TB array: the guard must trip first.
+        assert main(list(argv)) == 3
+        assert "sample cap" in capsys.readouterr().err
+
     def test_numerical_nonconvergence_is_4(self, capsys):
         # An impossible oscillatory-integral tolerance exhausts the panel
         # budget inside the arc model.
@@ -163,3 +183,64 @@ class TestFilesAndFormats:
         cfg = tmp_path / "run.cfg"
         cfg.write_text("bogus = 1\n")
         assert main(["--config", str(cfg), "count", "--n", "4", "--theta", "0.2"]) == 2
+
+
+class TestBenchScenarioBytes:
+    def test_cli_files_match_bench_expected(self, tmp_path, capsys, monkeypatch):
+        # The benchmark's CLI scenarios, run in-process: every data file must
+        # equal the stored reference in bench/expected/ byte for byte.
+        monkeypatch.syspath_prepend(str(BENCH))
+        workloads = importlib.import_module("workloads")
+        names = []
+        for wl in workloads.WORKLOADS.values():
+            for *argv, name in wl.cli:
+                target = tmp_path / f"{name}.csv"
+                assert main([*argv, "--out", str(target)]) == 0, name
+                want = (BENCH / "expected" / f"{name}.csv").read_bytes()
+                assert target.read_bytes() == want, name
+                names.append(name)
+        capsys.readouterr()
+        assert len(names) == 5
+
+
+_cells = st.one_of(st.integers(-10**12, 10**12), st.floats(allow_nan=False, allow_infinity=False))
+
+
+class TestEmitterProperty:
+    @settings(max_examples=60, deadline=None)
+    @given(rows=st.lists(st.lists(_cells, min_size=2, max_size=2), max_size=6),
+           summary=st.dictionaries(st.sampled_from(["count", "mean"]), _cells),
+           fmt=st.sampled_from(["csv", "json", "bare"]))
+    @example(rows=[], summary={"count": 0}, fmt="bare")  # an empty bare result prints nothing
+    def test_stdout_and_file_carry_the_same_rows(self, rows, summary, fmt):
+        def emit(out):
+            args = Namespace(out=out, format="json" if fmt == "json" else "csv")
+            em = Emitter(args, "prop")
+            em.set_columns("a", "b")
+            em.bare = fmt == "bare"
+            for row in rows:
+                em.add_row(*row)
+            em.summary.update(summary)
+            stdout = io.StringIO()
+            with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(io.StringIO()):
+                em.finish({"k": 1})
+            return stdout.getvalue()
+
+        def data(text):
+            if fmt == "json":
+                return json.loads(text)["rows"]
+            return [line for line in text.splitlines() if line and not line.startswith("#")]
+
+        printed = emit(None)
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "rows.csv"
+            assert emit(str(path)) == ""
+            written = path.read_text()
+            assert json.loads(Path(f"{path}.manifest.json").read_text())["summary"] == summary
+        assert data(printed) == data(written)
+        if fmt == "bare":
+            assert printed == "".join(f"{line}\n" for line in data(written))
+        if fmt == "csv":
+            assert written.startswith("# manifest: rows.csv.manifest.json\n")
+            assert [line for line in printed.splitlines() if line.startswith("#")] == \
+                [f"# {k} = {_fmt(v)}" for k, v in summary.items()]

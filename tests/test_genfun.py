@@ -26,6 +26,14 @@ from cubelab.params import PreconditionError, derive_parameters
 from cubelab.smooth import smooth_interval_set, smooth_set
 
 
+_PHASE_CASES = st.one_of(
+    st.tuples(st.just(3), st.lists(st.integers(1, 10**7), min_size=1, max_size=20)),
+    # power 1 (the twist): inside the Dekker range, and up to 2^63 - 1 past it
+    st.tuples(st.just(1), st.lists(st.integers(1, 2**53 - 1), min_size=1, max_size=20)),
+    st.tuples(st.just(1), st.lists(st.integers(1, 2**63 - 1), min_size=1, max_size=20)),
+)
+
+
 class TestFractionalPhases:
     def test_against_exact_fractions(self):
         rng = np.random.default_rng(42)
@@ -58,17 +66,52 @@ class TestFractionalPhases:
         st.builds(lambda m, e: (m | 1) / 2**(53 + e), st.integers(2**52, 2**53 - 1),
                   st.integers(11, 40)),
         st.floats(0.0, 1.0, exclude_max=True),
-    ), xs=st.lists(st.integers(1, 10**7), min_size=1, max_size=20))
-    @example(alpha=(2**53 - 1) / 2**64, xs=[10**7, 208_001])  # alpha = m 2^-64: uint64 still
-    @example(alpha=(2**53 - 1) / 2**65, xs=[10**7, 208_001])  # alpha = m 2^-65: big integers
-    def test_bit_identical_to_exact_fractions(self, alpha, xs):
+    ), case=_PHASE_CASES, more=st.lists(st.floats(-4.0, 4.0), max_size=4))
+    @example(alpha=(2**53 - 1) / 2**64, case=(3, [10**7, 208_001]), more=[])  # uint64 still
+    @example(alpha=(2**53 - 1) / 2**65, case=(3, [10**7, 208_001]), more=[])  # big integers
+    @example(alpha=(2**53 - 1) / 2**64, case=(1, [2**63 - 1, 2**53]), more=[0.5])
+    @example(alpha=(2**53 - 1) / 2**65, case=(1, [2**63 - 1, 2**53 - 1]), more=[])
+    def test_bit_identical_to_exact_fractions(self, alpha, case, more):
         # Every branch rounds the exact residue once; the Dekker branch (all
-        # x <= 208,000) maps a residue that rounds up to 1.0 onto 0.0.
-        want = [float(Fraction(alpha) * x**3 % 1) for x in xs]
-        if max(xs) <= 208_000:
+        # x <= 208,000, or k < 2^53 at power 1) maps a residue that rounds up
+        # to 1.0 onto 0.0.  An array of alpha gives the float call per row.
+        power, xs = case
+        want = [float(Fraction(alpha) * x**power % 1) for x in xs]
+        if max(xs) <= (208_000 if power == 3 else 2**53 - 1):
             want = [w % 1.0 for w in want]
-        got = fractional_phases(alpha, np.array(xs, dtype=np.int64))
+        values = np.array(xs, dtype=np.int64)
+        got = fractional_phases(alpha, values, power=power)
         assert got.tolist() == want
+        alphas = [alpha, *more]
+        rows = fractional_phases(np.array(alphas), values, power=power)
+        assert rows.shape == (len(alphas), len(xs))
+        for a, row in zip(alphas, rows):
+            assert row.tobytes() == fractional_phases(a, values, power=power).tobytes()
+
+    @settings(max_examples=200, deadline=None)
+    @given(alpha=st.one_of(st.floats(-1.0, 0.0, exclude_min=True, exclude_max=True),
+                           st.integers(1, 2**40).map(lambda j: -j / 2**41)),
+           case=_PHASE_CASES)
+    @example(alpha=-1e-05, case=(3, [207_999, 200_000]))
+    @example(alpha=-1e-05, case=(1, [2**53]))
+    @example(alpha=-5e-324, case=(3, [10**7]))
+    def test_alpha_in_minus_one_to_zero_keeps_full_accuracy(self, alpha, case):
+        # alpha + 1 would round by up to 2^-54 here, which x^3 near 208,000
+        # turns into half a cycle.  The exact branches still round the
+        # residue once; the Dekker branch is within 2^-52 of it.
+        power, xs = case
+        want = [Fraction(alpha) * x**power % 1 for x in xs]
+        got = fractional_phases(alpha, np.array(xs, dtype=np.int64), power=power)
+        if max(xs) > (208_000 if power == 3 else 2**53 - 1):
+            assert got.tolist() == [float(w) for w in want]
+        else:
+            for g, w in zip(got.tolist(), want):
+                gap = abs(Fraction(g) - w)
+                assert min(gap, 1 - gap) <= Fraction(1, 2**52), (g, float(w))
+
+    def test_power_must_be_one_or_three(self):
+        with pytest.raises(PreconditionError):
+            fractional_phases(0.5, np.array([3]), power=2)
 
 
 class TestWeylSum:
@@ -112,6 +155,25 @@ class TestWeylSum:
         spec = set_spec(sorted(rng.choice(np.arange(1, 5000), 64, replace=False).tolist()))
         for alpha in rng.random(10):
             assert abs(weyl_sum(float(alpha), spec)) <= 64 + 1e-9
+
+    @settings(max_examples=100, deadline=None)
+    @given(alphas=st.lists(st.one_of(st.floats(-2.0, 2.0),
+                                     st.integers(0, 2**20).map(lambda j: j / 2**20)), max_size=12),
+           lo=st.integers(0, 400_000), width=st.integers(0, 300))
+    def test_array_alpha_is_bit_identical_to_float_calls(self, alphas, lo, width):
+        # Both sides of x = 208,000: the Dekker and the uint64 branches.
+        spec = interval_spec(lo, lo + width)
+        got = weyl_sum(np.array(alphas, dtype=np.float64), spec)
+        assert got.shape == (len(alphas),)
+        assert got.tolist() == [weyl_sum(a, spec) for a in alphas]
+
+    def test_array_alpha_is_taken_in_chunks(self, monkeypatch):
+        import cubelab.genfun as genfun
+
+        monkeypatch.setattr(genfun, "_CHUNK_ENTRIES", 25)  # 2 rows of 10 terms per chunk
+        spec = interval_spec(0, 10)
+        alphas = np.linspace(0.0, 1.0, 7)
+        assert weyl_sum(alphas, spec).tolist() == [weyl_sum(float(a), spec) for a in alphas]
 
     def test_oversize_guard(self):
         with pytest.raises(PreconditionError):

@@ -433,7 +433,7 @@ class TestBatchScan:
 
         assert peak_bytes(call) < 256 << 20
 
-    def test_minicubes_above_cube_root_are_clamped(self):
+    def test_minicubes_above_cube_root_are_clamped(self, monkeypatch):
         # At theta = 0.9 floor(n^theta) is about 251,000, but no minicube
         # above the cube root of n can take part; the window must stay small.
         N_lo = 10**6
@@ -445,6 +445,20 @@ class TestBatchScan:
 
         assert peak_bytes(call) < 16 << 20
         assert res.counts.tolist() == [count_r(n, 0.9).count for n in range(N_lo + 1, N_lo + 11)]
+        # floor(n^theta) takes 2,261 values over this window, all past the
+        # clamp, so the window is one segment of work, not one per value.
+        seen = []
+        bound_segments = repcount._bound_segments
+
+        def spy(*args):
+            seen.append(bound_segments(*args))
+            return seen[-1]
+
+        monkeypatch.setattr(repcount, "_bound_segments", spy)
+        res = batch_scan(N_lo, N_lo + 10**4, 0.9)
+        assert [len(s) for s in seen] == [1]
+        for n in random.Random(9).sample(range(N_lo + 1, N_lo + 10**4 + 1), 12):
+            assert res.counts[n - N_lo - 1] == count_r(n, 0.9).count, n
 
     def test_window_near_ten_to_the_ten(self):
         # floor(n^0.3) = 1000 here, so the two-cube sums that can meet a

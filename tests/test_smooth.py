@@ -11,7 +11,6 @@ from cubelab.smooth import (
     restricted_primes,
     smooth_interval_set,
     smooth_set,
-    smooth_star_set,
 )
 
 
@@ -105,17 +104,12 @@ class TestSmoothIntervalSet:
         assert s.members == (6, 7, 8, 9, 10)
 
     def test_difference_identity(self):
-        # (X, 2X] shell equals A*(2X, Z) \ A*(X, Z) elementwise.
+        # (X, 2X] shell equals the Z^eta-smooth m <= 2X minus those <= X.
         for X, Z, eta in [(7, 49, 0.5), (30, 900, 0.4), (100, 100, 0.6)]:
             shell = set(smooth_interval_set(X, Z, eta).members)
-            big = set(smooth_star_set(2 * X, Z, eta).members)
-            small = set(smooth_star_set(X, Z, eta).members)
+            big = {m for m in range(1, 2 * X + 1) if _is_smooth(m, Z**eta)}
+            small = {m for m in range(1, X + 1) if _is_smooth(m, Z**eta)}
             assert shell == big - small
-
-    def test_star_self_consistency(self):
-        # A*(X, X) coincides with A(X) for the same eta.
-        for X in (10, 137, 1000, 10**4):
-            assert smooth_star_set(X, X, 0.35).members == smooth_set(X, 0.35).members
 
 
 class TestRestrictedPrimes:

@@ -6,6 +6,11 @@ coefficients use the normalized fourth power (S(q,a)/q)^4: with the
 exponent taken as -4 the series diverges wildly, so +4 is what the
 surrounding arithmetic forces (and what the truncation diagnostics
 confirm).
+
+Only the float64 A(q, .) tables (series_coefficient_table) and the Euler
+density tables (_euler_factor_table) stay cached.  The Gauss-sum and
+cube-residue vectors a table is built from are freed after the build;
+gauss_sum_table keeps a small cache for cubic_gauss_sum's few moduli.
 """
 
 from __future__ import annotations
@@ -78,7 +83,6 @@ class LocalDensity:
     converged: bool
 
 
-@lru_cache(maxsize=4096)
 def _cube_counts(q: int) -> np.ndarray:
     """counts[c] = #{1 <= r <= q : r^3 = c (mod q)}."""
     r = np.arange(q, dtype=np.int64)
@@ -86,11 +90,15 @@ def _cube_counts(q: int) -> np.ndarray:
     return np.bincount(cubes, minlength=q)
 
 
-@lru_cache(maxsize=2048)
+def _gauss_sums(q: int) -> np.ndarray:
+    """S(q, a) for a = 0..q-1 as one complex vector (built afresh each call)."""
+    return np.conj(np.fft.fft(_cube_counts(q)))
+
+
+@lru_cache(maxsize=128)
 def gauss_sum_table(q: int) -> np.ndarray:
-    """S(q, a) for a = 0..q-1 as one complex vector."""
-    counts = _cube_counts(q)
-    return np.conj(np.fft.fft(counts))
+    """S(q, a) for a = 0..q-1, cached for cubic_gauss_sum's few moduli q <= q_max."""
+    return _gauss_sums(q)
 
 
 def cubic_gauss_sum(q: int, a: int) -> complex:
@@ -171,10 +179,11 @@ def series_coefficient_table(q: int) -> np.ndarray:
     parts must vanish (conjugate a <-> q-a pairing) and are checked before
     the real coercion.
     """
-    s_over_q = gauss_sum_table(q) / q
+    s_over_q = _gauss_sums(q) / q
     weights = s_over_q**4
-    a = np.arange(q)
-    coprime = np.gcd(a, q) == 1  # for q = 1 this admits a = 0, i.e. the a = q term
+    coprime = np.ones(q, dtype=bool)  # for q = 1 this admits a = 0, i.e. the a = q term
+    for p, _ in _factorize(q):
+        coprime[::p] = False
     weights = np.where(coprime, weights, 0.0)
     table = np.fft.fft(weights)
     bad = np.abs(table.imag) > np.maximum(1e-9 * np.abs(table), 1e-12)

@@ -192,6 +192,7 @@ def fractional_phases(alpha: float | np.ndarray, values: np.ndarray,
         err = ((ahi * phi - prod) + ahi * plo + alo * phi) + alo * plo
         frac = (prod - np.floor(prod)) + err
         out = frac - np.floor(frac)
+        out[out == 1.0] = 0.0  # a tiny negative frac wraps to 1.0: the residue rounds up
     return out if np.ndim(alpha) else out[0]
 
 

@@ -17,7 +17,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-import mpmath as mp
+
 import numpy as np
 
 from cubelab.expsums import MAIN_TERM_CONSTANT, singular_series_values
@@ -88,6 +88,8 @@ def minicube_bound(n: int, theta: float) -> int:
         return integer_root(n**frac.numerator, frac.denominator)
     cand = float(n) ** theta
     if abs(cand - round(cand)) < 1e-9 * max(cand, 1.0):
+        import mpmath as mp  # deferred: the only mpmath use, and a slow import
+
         with mp.workdps(40):
             return int(mp.floor(mp.power(n, theta)))
     return math.floor(cand)

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cubelab.arcs import (
@@ -36,6 +36,7 @@ from cubelab.params import (
 
 TOY = derive_parameters(864, 1 / 3, eta=0.8, L_override=4.0)  # P = 6, R = 6
 BIG = derive_parameters(4 * 10**6, 1 / 3, eta=0.5, L_override=20.0)  # P = 100
+_R4_AT_P6 = math.log(4) / (3 * math.log(6))  # theta with R = P^(3 theta) = 4 at P = 6
 
 
 class TestDissectionStructure:
@@ -284,21 +285,24 @@ class TestIntegrateOverArcs:
         oracle = vals.sum() / len(grid)
         assert abs(got - oracle) <= 1e-3 * max(abs(oracle), 1.0)
 
-    def test_sigma_via_grid_equals_exact_count(self):
+    @settings(max_examples=60, deadline=None)
+    @given(N=st.integers(4, 4000), theta=st.floats(0.05, 1 / 3), n=st.integers(4, 3000))
+    @example(N=864, theta=_R4_AT_P6, n=900)
+    @example(N=864, theta=_R4_AT_P6, n=1000)
+    @example(N=864, theta=_R4_AT_P6, n=1500)
+    @example(N=864, theta=_R4_AT_P6, n=1728)
+    def test_sigma_via_grid_equals_exact_count(self, N, theta, n):
         # Full-circle average of the twisted difference integrand equals the
-        # exact restricted count, by orthogonality, at P <= 8 and R = 4.
+        # exact restricted count, by orthogonality, at P <= 10 and R <= P.
         from cubelab.arcs import make_sigma_integrand_pair
         from cubelab.repcount import count_sigma
 
-        theta = math.log(4) / (3 * math.log(6))  # R = P^(3 theta) = 4 at P = 6
-        params = derive_parameters(864, theta, eta=0.8, L_override=4.0)
-        assert params.R == 4.0
-        for n in (900, 1000, 1500, 1728):
-            full, inner = make_sigma_integrand_pair(n, params)
-            grid = max(full.degree_bound(), inner.degree_bound()) + 1
-            val = (mean_value_grid(full, grid) - mean_value_grid(inner, grid)).real
-            exact = count_sigma(n, theta, params.P, params.R).count
-            assert val == pytest.approx(exact, abs=1e-6), n
+        params = derive_parameters(N, theta, eta=0.8, L_override=4.0)
+        full, inner = make_sigma_integrand_pair(n, params)
+        grid = max(full.degree_bound(), inner.degree_bound()) + 1
+        val = (mean_value_grid(full, grid) - mean_value_grid(inner, grid)).real
+        exact = count_sigma(n, theta, params.P, params.R).count
+        assert val == pytest.approx(exact, abs=1e-6)
 
     @settings(max_examples=60, deadline=None)
     @given(alphas=st.lists(st.floats(-1.0, 2.0), max_size=10),

@@ -4,6 +4,9 @@ import importlib
 import io
 import json
 import math
+import os
+import subprocess
+import sys
 import tempfile
 from argparse import Namespace
 from pathlib import Path
@@ -12,6 +15,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import cubelab
 from cubelab.cli import Emitter, _fmt, main
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
@@ -183,6 +187,15 @@ class TestFilesAndFormats:
         cfg = tmp_path / "run.cfg"
         cfg.write_text("bogus = 1\n")
         assert main(["--config", str(cfg), "count", "--n", "4", "--theta", "0.2"]) == 2
+
+
+def test_cli_import_leaves_mpmath_unloaded():
+    # mpmath is imported only by minicube_bound's near-tie branch.
+    src = str(Path(cubelab.__file__).resolve().parents[1])
+    probe = "import sys, cubelab.cli; print('mpmath' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", probe], env=dict(os.environ, PYTHONPATH=src),
+                          capture_output=True, text=True, check=True)
+    assert proc.stdout.strip() == "False"
 
 
 class TestBenchScenarioBytes:

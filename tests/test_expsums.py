@@ -1,19 +1,23 @@
 import cmath
 import math
+import tracemalloc
 from itertools import product
 
 import mpmath as mp
 import numpy as np
 import pytest
 
+from cubelab import expsums
 from cubelab.expsums import (
     MAIN_TERM_CONSTANT,
+    _euler_factor_table,
     cubic_gauss_sum,
     local_congruence_count,
     local_density,
     main_term,
     multiplicative_weight,
     series_coefficient,
+    singular_series_euler,
     singular_series_truncated,
     singular_series_values,
 )
@@ -280,6 +284,50 @@ class TestLocalDensity:
     def test_rejects_composite(self):
         with pytest.raises(PreconditionError):
             local_density(6, 1, 1)
+
+
+class TestEulerFactorDepth:
+    @pytest.mark.parametrize("p", [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31])
+    def test_deepest_level_under_the_cap(self, p):
+        # p <= 31 use the deepest p^k <= 10^6; at n = 2 p^2 (3 * 4 for p = 2)
+        # the level-1 density is off by 3e-5 or more, so a shallower table fails.
+        k = max(j for j in range(1, 21) if p**j <= 10**6)
+        modulus, table = _euler_factor_table(p)
+        assert modulus == p**k
+        n = p**2 * (3 if p == 2 else 2)
+        want = local_density(p, n, k)
+        assert want.converged
+        assert float(table[n % modulus]) == pytest.approx(want.value, rel=1e-12)
+
+    def test_larger_primes_stay_at_level_one(self):
+        for p in (37, 101, 1999):
+            assert _euler_factor_table(p)[0] == p
+
+
+def _retained_mb(fn) -> float:
+    """Memory still held after fn() returns, with every expsums cache cleared first."""
+    for obj in vars(expsums).values():
+        if hasattr(obj, "cache_clear"):
+            obj.cache_clear()
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[0] / 2**20
+    finally:
+        tracemalloc.stop()
+
+
+class TestResidentMemory:
+    # Only the A(q, .) tables (16 MB of float64 for q <= 2000) and the Euler
+    # density tables (about 40 MB) stay cached; the Gauss-sum and
+    # cube-residue vectors they are built from do not.
+    NS = np.arange(10**8, 10**8 + 10**4)
+
+    def test_series_keeps_only_coefficient_tables(self):
+        assert _retained_mb(lambda: singular_series_values(self.NS, 2000)) <= 20.0
+
+    def test_euler_keeps_only_density_tables(self):
+        assert _retained_mb(lambda: singular_series_euler(self.NS)) <= 45.0
 
 
 class TestMainTerm:

@@ -71,6 +71,7 @@ class TestFractionalPhases:
     @example(alpha=(2**53 - 1) / 2**65, case=(3, [10**7, 208_001]), more=[])  # big integers
     @example(alpha=(2**53 - 1) / 2**64, case=(1, [2**63 - 1, 2**53]), more=[0.5])
     @example(alpha=(2**53 - 1) / 2**65, case=(1, [2**63 - 1, 2**53 - 1]), more=[])
+    @example(alpha=0.00024414062500000005, case=(1, [2**52 - 1]), more=[])  # Dekker rounds up
     def test_bit_identical_to_exact_fractions(self, alpha, case, more):
         # Every branch rounds the exact residue once; the Dekker branch (all
         # x <= 208,000, or k < 2^53 at power 1) maps a residue that rounds up

@@ -89,6 +89,16 @@ class TestMinicubeBound:
                     want = int(mp.floor(mp.power(n, theta)))
                     assert minicube_bound(n, theta) == want, (n, theta)
 
+    def test_near_tie_settled_in_high_precision(self):
+        # n = round(y^(10/pi)) puts n^(pi/10) within 1e-9 (relative) of y,
+        # which sends theta = pi/10 to the 40-digit branch.
+        theta = math.pi / 10
+        for y in (400, 457, 500, 611):
+            n = round(y ** (1 / theta))
+            assert abs(n**theta - y) < 1e-9 * y
+            with mp.workdps(50):
+                assert minicube_bound(n, theta) == int(mp.floor(mp.power(n, theta))), y
+
     def test_monotone_in_n(self):
         vals = [minicube_bound(n, 0.3) for n in range(4, 4000)]
         assert all(a <= b for a, b in zip(vals, vals[1:]))

@@ -22,6 +22,7 @@ import numpy as np
 
 from cubelab.expsums import cubic_gauss_sum
 from cubelab.genfun import (
+    _BLOCK_ENTRIES,
     WeylSumSpec,
     _batch_rule,
     _gauss_legendre,
@@ -321,13 +322,25 @@ def major_arc_approximant(alpha: float, dissection: ArcDissection, kind: str,
     return front * w_integral(beta, 2 * dissection.params.P, tol).value
 
 
+def _grid_spectrum(spec: WeylSumSpec, M: int) -> np.ndarray:
+    """sum_x e(j x^3 / M) at every j < M: the conjugated FFT of the cube residues mod M."""
+    values = spec.term_values() % M
+    cubes = (values * values % M) * values % M
+    z = np.bincount(cubes, minlength=M).astype(np.complex128)
+    np.fft.fft(z, out=z)
+    return np.conj(z, out=z)
+
+
 def mean_value_grid(integrand: ArcIntegrand, grid_points: int) -> complex:
     """Equispaced average over the full circle, exact by orthogonality.
 
     Each Weyl-sum factor is evaluated at every j/M simultaneously through
-    the cube-residue distribution mod M (one FFT per distinct factor, which
-    a conjugated copy reuses), so the cost is O(M log M) regardless of the
-    index-set sizes.
+    the cube-residue distribution mod M (_grid_spectrum: one FFT per
+    distinct factor, which a conjugated copy reuses), so the cost is
+    O(M log M) regardless of the index-set sizes.  The grid-size arrays are
+    those spectra and the running product; conjugates, powers and the
+    twist are taken in blocks of _BLOCK_ENTRIES points, each point's
+    product in factor order, so the block size never changes a bit.
     """
     M = int(grid_points)
     if M > _GRID_GUARD:
@@ -337,22 +350,22 @@ def mean_value_grid(integrand: ArcIntegrand, grid_points: int) -> complex:
         raise PreconditionError(
             f"grid of {M} points undersamples a degree-{degree} integrand"
         )
+    spectra: dict[WeylSumSpec, np.ndarray] = {}
+    for spec, _, _ in integrand.factors:
+        if spec not in spectra:
+            spectra[spec] = _grid_spectrum(spec, M)
     total = np.ones(M, dtype=np.complex128)
-    ffts: dict[WeylSumSpec, np.ndarray] = {}
-    for spec, exponent, conjugated in integrand.factors:
-        if spec not in ffts:
-            values = spec.term_values() % M
-            cubes = (values * values % M) * values % M
-            counts = np.bincount(cubes, minlength=M).astype(np.float64)
-            ffts[spec] = np.conj(np.fft.fft(counts))  # sum_x e(+ j x^3 / M) at each j
-        factor = ffts[spec]
-        if conjugated:
-            factor = np.conj(factor)
-        total *= factor**exponent
-    if integrand.twist:
-        j = np.arange(M, dtype=np.int64)
-        twist_phase = (integrand.twist % M) * j % M
-        total *= np.exp(-2j * np.pi * twist_phase / M)
+    shift = integrand.twist % M
+    for start in range(0, M, _BLOCK_ENTRIES):
+        part = total[start : start + _BLOCK_ENTRIES]
+        for spec, exponent, conjugated in integrand.factors:
+            factor = spectra[spec][start : start + _BLOCK_ENTRIES]
+            if conjugated:
+                factor = np.conj(factor)
+            part *= factor**exponent
+        if integrand.twist:
+            j = np.arange(start, start + len(part), dtype=np.int64)
+            part *= np.exp(-2j * np.pi * (shift * j % M) / M)
     return complex(total.mean())
 
 

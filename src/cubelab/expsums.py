@@ -249,10 +249,14 @@ def local_density(p: int, n: int, k_max: int) -> LocalDensity:
     """Euler-factor oracle: density of x1^3+...+x4^3 = n (mod p^k), stabilized.
 
     Densities are computed for k = 1, 2, ... up to k_max, stopping once two
-    consecutive values agree to 1e-6 relative.  For p not dividing 3n every
-    solution mod p has a unit coordinate, so Hensel lifting fixes the
-    density at its k=1 value; that certificate marks k_max=1 calls as
-    converged without a second level.
+    consecutive values agree to 1e-6 relative at a level k >= v_p(n) + 1
+    (v_3(n) + 2 at p = 3), from which the density no longer moves; a k_max
+    below that level reports converged=False.  Lower levels can agree too
+    early (n = 48: 1.375 at levels 3 and 4, 1.3125 from level 5 on).  For p
+    not dividing 3n the level is 1: every solution mod p has a unit
+    coordinate, so Hensel lifting fixes the density at its k=1 value.  A
+    solution with every coordinate divisible by p needs p^3 | n, which sets
+    the level for p != 3; at p = 3 it was measured against the 3^12 tables.
     """
     if n < 1:
         raise PreconditionError(f"n must be positive, got {n}")
@@ -265,12 +269,16 @@ def local_density(p: int, n: int, k_max: int) -> LocalDensity:
             f"p^k_max = {p**k_max} exceeds the modulus cap {_DENSITY_MODULUS_CAP}"
         )
 
-    hensel_certified = (3 * n) % p != 0
+    stable_level = 2 if p == 3 else 1
+    m = n
+    while m % p == 0:
+        m //= p
+        stable_level += 1
     value = float(_density_table(p)[n % p])
-    k_used, converged = 1, hensel_certified
+    k_used, converged = 1, stable_level == 1
     for k in range(2, k_max + 1):
         nxt = float(_density_table(p**k)[n % p**k])
-        converged = abs(nxt - value) <= 1e-6 * max(abs(nxt), 1e-30)
+        converged = k >= stable_level and abs(nxt - value) <= 1e-6 * max(abs(nxt), 1e-30)
         value, k_used = nxt, k
         if converged:
             break

@@ -14,7 +14,12 @@ _gauss_legendre: 16-point Gauss-Legendre on a panel grid whose count,
 seeded by the oscillation count, doubles until the caller's stopping test
 holds or its node budget runs out (QuadratureError).  The oscillatory
 integrals v and w are _batch_rule at a single beta; Z stays small enough
-at desk scale that no Filon-type machinery is warranted.
+at desk scale that no Filon-type machinery is warranted.  Phase matrices
+(alpha by term in weyl_sum, beta by node in _batch_rule) are evaluated in
+blocks of whole rows within _BLOCK_ENTRIES entries (4 MB of complex); each
+row sums alone, so no value depends on the block size, and a row longer
+than the budget is a block of its own.  arcs.mean_value_grid walks its
+grid in blocks of the same size.
 """
 
 from __future__ import annotations
@@ -49,7 +54,7 @@ __all__ = [
 _TERM_GUARD = 10**8
 _FLOAT_EXACT_CUBE = 208_000  # a round bound below 208,063, the largest x with x^3 < 2^53
 _DEKKER_LIMIT = {3: _FLOAT_EXACT_CUBE, 1: 2**53 - 1}  # largest |x| with x^power exact
-_CHUNK_ENTRIES = 4_000_000  # phase-matrix entries evaluated at once (64 MB complex)
+_BLOCK_ENTRIES = 1 << 18  # phase-matrix entries evaluated at once (4 MB complex)
 
 
 class QuadratureError(RuntimeError):
@@ -176,24 +181,30 @@ def fractional_phases(alpha: float | np.ndarray, values: np.ndarray,
     """
     if power not in _DEKKER_LIMIT:
         raise PreconditionError(f"power must be 1 or 3, got {power}")
-    alphas = np.atleast_1d(np.asarray(alpha, dtype=np.float64))
-    # alpha - floor(alpha) is exact except on (-1, 0), which each branch reduces itself
-    alphas = np.where((alphas >= 0) | (alphas <= -1), alphas - np.floor(alphas), alphas)
+    # alpha - floor(alpha) is exact except on (-1, 0), which each branch reduces
+    # itself; a float alpha stays a Python float (fmod is exact, so % agrees)
+    if np.ndim(alpha):
+        alphas = np.asarray(alpha, dtype=np.float64)
+        alphas = np.where((alphas >= 0) | (alphas <= -1), alphas - np.floor(alphas), alphas)
+        alphas = alphas[:, None]
+    else:
+        alphas = float(alpha)
+        alphas = alphas % 1.0 if alphas >= 0 or alphas <= -1 else alphas
     values = np.asarray(values, dtype=np.int64)
     if len(values) and max(int(values.max()), -int(values.min())) > _DEKKER_LIMIT[power]:
-        out = np.empty((len(alphas), len(values)), dtype=np.float64)
-        for row, a in zip(out, alphas.tolist()):
+        out = np.empty(np.shape(alphas)[:1] + values.shape, dtype=np.float64)
+        for row, a in zip(out.reshape(-1, len(values)), np.ravel(alphas).tolist()):
             _dyadic_phases(a, values, power, row)
     else:
         powers = values.astype(np.float64) ** power
-        prod = alphas[:, None] * powers
-        ahi, alo = _split_hi_lo(alphas[:, None])
+        prod = alphas * powers
+        ahi, alo = _split_hi_lo(alphas)
         phi, plo = _split_hi_lo(powers)
         err = ((ahi * phi - prod) + ahi * plo + alo * phi) + alo * plo
         frac = (prod - np.floor(prod)) + err
         out = frac - np.floor(frac)
         out[out == 1.0] = 0.0  # a tiny negative frac wraps to 1.0: the residue rounds up
-    return out if np.ndim(alpha) else out[0]
+    return out
 
 
 def _dyadic_phases(alpha: float, values: np.ndarray, power: int, out: np.ndarray) -> None:
@@ -221,13 +232,21 @@ def weyl_sum(alpha: float | np.ndarray, spec: WeylSumSpec) -> complex | np.ndarr
             f"spec has {spec.term_count()} terms, beyond the {_TERM_GUARD} guard"
         )
     values = spec.term_values()
-    alphas = np.atleast_1d(alpha)
-    out = np.zeros(len(alphas), dtype=np.complex128)
-    chunk = max(1, _CHUNK_ENTRIES // max(len(values), 1))
-    for start in range(0, len(alphas), chunk):
-        phases = fractional_phases(alphas[start : start + chunk], values)
-        out[start : start + chunk] = np.exp(2j * np.pi * phases).sum(axis=1)
-    return out if np.ndim(alpha) else complex(out[0])
+    if not np.ndim(alpha):
+        return complex(_unit_root_sum(fractional_phases(alpha, values)))
+    alphas = np.asarray(alpha, dtype=np.float64)
+    out = np.empty(len(alphas), dtype=np.complex128)
+    rows = max(1, _BLOCK_ENTRIES // max(len(values), 1))
+    for start in range(0, len(alphas), rows):
+        out[start : start + rows] = _unit_root_sum(
+            fractional_phases(alphas[start : start + rows], values))
+    return out
+
+
+def _unit_root_sum(phases: np.ndarray) -> np.ndarray:
+    """sum of e(phases) along the last axis, the exponential taken in place."""
+    z = 2j * np.pi * phases
+    return np.exp(z, out=z).sum(axis=-1)
 
 
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(16)
@@ -273,8 +292,9 @@ def _batch_rule(betas: np.ndarray, lo: float, hi: float, tol: float,
     One shared grid sized for the worst oscillation in the batch, doubled
     until no value moves by more than tol; returns the values on the last
     grid and on the one before it (their gap is the error estimate).
-    Evaluation is chunked over beta, in place, so the phase matrix stays
-    within 64 MB however large the batch is.
+    The phase matrix (beta by node) is evaluated in place, in blocks of
+    whole rows within _BLOCK_ENTRIES (4 MB), however large the batch is;
+    each row sums alone, so the block size never changes a bit.
     """
     if tol <= 0:
         raise PreconditionError(f"tol must be positive, got {tol}")
@@ -286,12 +306,12 @@ def _batch_rule(betas: np.ndarray, lo: float, hi: float, tol: float,
     def integrand(g: np.ndarray, w: np.ndarray) -> np.ndarray:
         g3 = g**3
         out = np.empty(len(betas), dtype=np.complex128)
-        chunk = max(1, _CHUNK_ENTRIES // len(g3))
-        for start in range(0, len(betas), chunk):
-            z = 2j * np.pi * betas[start : start + chunk, None] * g3
+        rows = max(1, _BLOCK_ENTRIES // len(g3))
+        for start in range(0, len(betas), rows):
+            z = 2j * np.pi * betas[start : start + rows, None] * g3
             np.exp(z, out=z)
             z *= w
-            out[start : start + chunk] = z.sum(axis=1)
+            out[start : start + rows] = z.sum(axis=1)
         return out
 
     return _gauss_legendre(integrand, lo, hi, max(4, int(cycles / 2) + 4), 16 * max_panels,

@@ -9,8 +9,8 @@ is vacuous), which shifts the zero-phase sum count by one.
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from dataclasses import dataclass, field
-from functools import lru_cache
 
 import numpy as np
 
@@ -54,11 +54,8 @@ class RestrictedPrimeRange:
         return len(self.primes)
 
 
-@lru_cache(maxsize=32)
-def _largest_prime_factor(limit: int) -> np.ndarray:
+def _sieve(limit: int) -> np.ndarray:
     """lpf[m] = largest prime factor of m for m <= limit (lpf[0] = lpf[1] = 0)."""
-    if limit > _SIEVE_LIMIT:
-        raise ResourceGuardError(f"sieve limit {limit} exceeds the desk-scale cap {_SIEVE_LIMIT}")
     lpf = np.zeros(limit + 1, dtype=np.int64)
     root = math.isqrt(limit)
     for p in range(2, root + 1):
@@ -71,6 +68,47 @@ def _largest_prime_factor(limit: int) -> np.ndarray:
         ps = big[: np.searchsorted(big, limit // k, side="right")]
         lpf[k * ps] = ps
     return lpf
+
+
+_CacheInfo = namedtuple("CacheInfo", "hits misses maxsize currsize")
+
+
+class _GrowingSieve:
+    """_sieve(limit), served as a read-only slice of one grow-only table.
+
+    lpf[m] does not depend on the limit, so a request inside the table is a
+    slice of it; a longer one rebuilds the table at max(limit, twice its
+    limit), capped at _SIEVE_LIMIT, and drops the old one.  cache_info()
+    counts slices served as hits and builds as misses, as lru_cache does.
+    """
+
+    __name__ = "_largest_prime_factor"  # as lru_cache would name it, for cache reports
+
+    def __init__(self) -> None:
+        self.cache_clear()
+
+    def cache_clear(self) -> None:
+        self._lpf = np.zeros(0, dtype=np.int64)
+        self._hits = self._misses = 0
+
+    def cache_info(self) -> _CacheInfo:
+        return _CacheInfo(self._hits, self._misses, 1, int(len(self._lpf) > 0))
+
+    def __call__(self, limit: int) -> np.ndarray:
+        if limit > _SIEVE_LIMIT:
+            raise ResourceGuardError(f"sieve limit {limit} exceeds the desk-scale cap {_SIEVE_LIMIT}")
+        if limit < len(self._lpf):
+            self._hits += 1
+        else:
+            size = min(max(limit, 2 * (len(self._lpf) - 1)), _SIEVE_LIMIT)
+            self._lpf = np.zeros(0, dtype=np.int64)  # free the old table before the new one
+            self._lpf = _sieve(size)
+            self._lpf.flags.writeable = False
+            self._misses += 1
+        return self._lpf[: limit + 1]
+
+
+_largest_prime_factor = _GrowingSieve()
 
 
 def _smooth_members(lo: int, hi: int, cap: float) -> tuple[int, ...]:

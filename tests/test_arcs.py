@@ -1,5 +1,6 @@
 import cmath
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -7,10 +8,12 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from cubelab import arcs
 from cubelab.arcs import (
     Arc,
     ArcIntegrand,
     _arc_count,
+    _grid_spectrum,
     arc_membership,
     dissection_measure,
     evaluate_integrand,
@@ -25,7 +28,7 @@ from cubelab.arcs import (
     truncated_singular_integral,
 )
 from cubelab.expsums import cubic_gauss_sum
-from cubelab.genfun import bilinear_spec, interval_spec, set_spec
+from cubelab.genfun import bilinear_spec, interval_spec, set_spec, weyl_sum
 from cubelab.params import (
     PreconditionError,
     Rational,
@@ -33,6 +36,7 @@ from cubelab.params import (
     best_rational,
     derive_parameters,
 )
+from cubelab.smooth import smooth_set
 
 TOY = derive_parameters(864, 1 / 3, eta=0.8, L_override=4.0)  # P = 6, R = 6
 BIG = derive_parameters(4 * 10**6, 1 / 3, eta=0.5, L_override=20.0)  # P = 100
@@ -392,6 +396,64 @@ class TestMeanValueGrid:
             mean_value_grid(moment_integrand(g, 2), 1 << 25)
 
 
+def _peak_mb(fn) -> float:
+    """Peak traced memory of fn() above what was allocated before it, in MB."""
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        fn()
+        return (tracemalloc.get_traced_memory()[1] - base) / 2**20
+    finally:
+        tracemalloc.stop()
+
+
+_GRID_SPECS = st.one_of(
+    st.tuples(st.integers(0, 3000), st.integers(0, 400)).map(
+        lambda t: interval_spec(t[0], t[0] + t[1])),
+    st.tuples(st.integers(1, 3000), st.floats(0.2, 0.9)).map(
+        lambda t: set_spec(smooth_set(t[0], t[1]))),
+)
+
+
+class TestGridSpectrum:
+    @settings(max_examples=60, deadline=None)
+    @given(spec=_GRID_SPECS, log_m=st.integers(1, 16), data=st.data())
+    def test_spectrum_entry_is_the_weyl_sum_at_j_over_m(self, spec, log_m, data):
+        # M a power of two keeps j/M an exact double, so the phases are exact.
+        M = 1 << log_m
+        js = data.draw(st.lists(st.integers(0, M - 1), min_size=1, max_size=6))
+        spectrum = _grid_spectrum(spec, M)
+        tol = 1e-12 + 1e-14 * spec.term_count()
+        for j in js:
+            assert abs(weyl_sum(j / M, spec) - spectrum[j]) <= tol, (j, M)
+
+    @settings(max_examples=40, deadline=None)
+    @given(specs=st.lists(st.one_of(
+               st.tuples(st.integers(0, 6), st.integers(0, 6)).map(
+                   lambda t: interval_spec(t[0], t[0] + t[1])),
+               st.tuples(st.integers(1, 12), st.floats(0.2, 0.9)).map(
+                   lambda t: set_spec(smooth_set(t[0], t[1])))), min_size=1, max_size=3),
+           exponents=st.lists(st.integers(1, 3), min_size=3, max_size=3),
+           conjugated=st.lists(st.booleans(), min_size=3, max_size=3),
+           twist=st.integers(-3000, 3000), extra=st.integers(0, 50), block=st.integers(5, 97))
+    def test_block_budget_does_not_change_a_bit(self, specs, exponents, conjugated, twist,
+                                                extra, block):
+        integrand = ArcIntegrand(factors=tuple(zip(specs, exponents, conjugated)), twist=twist)
+        M = integrand.degree_bound() + 1 + extra
+        got = {}
+        for entries in (1 << 40, block):
+            with pytest.MonkeyPatch.context() as mp_:
+                mp_.setattr(arcs, "_BLOCK_ENTRIES", entries)
+                got[entries] = mean_value_grid(integrand, M)
+        assert np.array([got[1 << 40]]).tobytes() == np.array([got[block]]).tobytes()
+
+    def test_fourth_moment_at_two_to_the_twenty_stays_in_budget(self):
+        # One spectrum and the running product, 16 MB each at 2^20 points;
+        # five grid-size arrays at once took 72 MB.
+        integrand = moment_integrand(interval_spec(0, 60), 2)
+        assert _peak_mb(lambda: mean_value_grid(integrand, 2**20)) <= 48
+
+
 class TestSingularIntegrals:
     def test_output_is_real_by_symmetry(self):
         params = derive_parameters(864, 1 / 3, eta=0.8, L_override=4.0)
@@ -423,6 +485,12 @@ class TestSingularIntegrals:
     def test_rejects_bad_kind(self):
         with pytest.raises(PreconditionError):
             truncated_singular_integral(10, TOY, "x")
+
+    def test_bench_case_stays_in_the_block_budget(self):
+        # N = 4 * 10^6, theta = 0.3, L = 40: 77 MB of phase matrix in 64-MB
+        # chunks, about 8.5 MB in 4-MB blocks.
+        p = derive_parameters(4_000_000, 0.3)
+        assert _peak_mb(lambda: truncated_singular_integral(4_571_429, p, "u", L=40.0)) <= 16
 
 
 class TestMajorArcApproximant:

@@ -6,6 +6,8 @@ from itertools import product
 import mpmath as mp
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 from cubelab import expsums
 from cubelab.expsums import (
@@ -276,6 +278,28 @@ class TestLocalDensity:
                 d2 = local_density(p, n, 2)
                 assert d1.converged
                 assert d1.value == pytest.approx(d2.value, rel=1e-9), (p, n)
+
+    @settings(max_examples=150, deadline=None)
+    @given(p=st.sampled_from([2, 3, 5, 7]), j=st.integers(0, 16), m=st.integers(1, 10**4))
+    @example(p=2, j=4, m=3)  # 48: levels 3 and 4 agree at 1.375, the density is 1.3125
+    @example(p=3, j=3, m=2)  # 54: 2.3333 at levels 3-4 against 2.3704
+    @example(p=2, j=10, m=3)  # 3072: 1.375 against 1.6406
+    def test_high_valuation_reaches_the_deep_level(self, p, j, m):
+        # Against the deepest table under the modulus cap (2^19, 3^12, 5^8,
+        # 7^7): the density no longer moves from level v_p(n) + 1 (v_3(n) + 2
+        # at p = 3), and one more level confirms it.
+        n = p**j * m
+        v = j + next(i for i in range(20) if (m // p**i) % p)
+        modulus, deep = _euler_factor_table(p)
+        k_deep = round(math.log(modulus, p))
+        stable = v + (2 if p == 3 else 1)
+        assume(stable + 1 <= k_deep)
+        got = local_density(p, n, k_deep)
+        assert got.converged
+        assert got.k_used >= stable
+        assert got.value == pytest.approx(float(deep[n % modulus]), rel=1e-9)
+        if stable > 1:
+            assert not local_density(p, n, stable - 1).converged
 
     def test_modulus_cap_enforced(self):
         with pytest.raises(PreconditionError):

@@ -171,7 +171,7 @@ class TestWeylSum:
     def test_array_alpha_is_taken_in_chunks(self, monkeypatch):
         import cubelab.genfun as genfun
 
-        monkeypatch.setattr(genfun, "_CHUNK_ENTRIES", 25)  # 2 rows of 10 terms per chunk
+        monkeypatch.setattr(genfun, "_BLOCK_ENTRIES", 25)  # 2 rows of 10 terms per block
         spec = interval_spec(0, 10)
         alphas = np.linspace(0.0, 1.0, 7)
         assert weyl_sum(alphas, spec).tolist() == [weyl_sum(float(a), spec) for a in alphas]
@@ -187,6 +187,40 @@ class TestWeylSum:
             set_spec([3, 3, 5])
         with pytest.raises(PreconditionError):
             set_spec([0, 2])
+
+
+def _with_block(entries: int, fn):
+    """fn() with the phase-matrix block budget set to entries."""
+    import cubelab.genfun as genfun
+
+    with pytest.MonkeyPatch.context() as mp_:
+        mp_.setattr(genfun, "_BLOCK_ENTRIES", entries)
+        return fn()
+
+
+class TestBlockBudget:
+    # A block budget of a few entries splits the phase matrix into many
+    # blocks (one row each once a row outgrows it); one huge budget is one
+    # block.  Rows sum alone, so every bit must agree.
+    @settings(max_examples=40, deadline=None)
+    @given(betas=st.lists(st.floats(-0.05, 0.05), min_size=1, max_size=9),
+           lo=st.floats(0.0, 5.0), width=st.floats(0.5, 5.0), block=st.integers(1, 200))
+    def test_batch_rule_bits_do_not_depend_on_the_block(self, betas, lo, width, block):
+        betas = np.array(betas)
+        one = _with_block(1 << 40, lambda: _batch_rule(betas, lo, lo + width, 1e-9))
+        many = _with_block(block, lambda: _batch_rule(betas, lo, lo + width, 1e-9))
+        for a, b in zip(one, many):
+            assert a.tobytes() == b.tobytes()
+
+    @settings(max_examples=60, deadline=None)
+    @given(alphas=st.lists(st.one_of(st.floats(-2.0, 2.0),
+                                     st.integers(0, 2**20).map(lambda j: j / 2**20)), max_size=12),
+           lo=st.integers(0, 400_000), width=st.integers(0, 60), block=st.integers(1, 150))
+    def test_weyl_sum_bits_do_not_depend_on_the_block(self, alphas, lo, width, block):
+        spec, alphas = interval_spec(lo, lo + width), np.array(alphas, dtype=np.float64)
+        one = _with_block(1 << 40, lambda: weyl_sum(alphas, spec))
+        many = _with_block(block, lambda: weyl_sum(alphas, spec))
+        assert one.tobytes() == many.tobytes()
 
 
 def _simpson_oracle(beta: float, lo: float, hi: float, m: int = 1 << 21) -> complex:

@@ -1,11 +1,14 @@
 import math
 import random
+import tracemalloc
 
+import numpy as np
 import pytest
 
 from cubelab.params import PreconditionError, ResourceGuardError, derive_parameters
 from cubelab.smooth import (
     _largest_prime_factor,
+    _sieve,
     prime_range_clears_smooth_cap,
     primes_in,
     restricted_primes,
@@ -51,6 +54,45 @@ class TestLargestPrimeFactor:
         ms += [limit, 1999**2, 1997 * 2003, 2 * 1_999_993, 3 * 1_333_331, (root - 1) * (root + 1)]
         for m in ms:
             assert lpf[m] == _trial_lpf(m), m
+
+
+    def test_shuffled_requests_are_slices_of_one_table(self):
+        # lpf[m] does not depend on the limit: each request must equal a fresh
+        # build at its own limit, and only one table may stay resident (an
+        # lru_cache keyed by limit kept one array per distinct limit).
+        limits = [0, 1, 2, 49, 121, 10_000, 250_000, 500_000, 750_000, 1_000_000]
+        random.Random(11).shuffle(limits)
+        _largest_prime_factor.cache_clear()
+        for limit in limits:
+            assert np.array_equal(_largest_prime_factor(limit), _sieve(limit)), limit
+        _largest_prime_factor.cache_clear()
+        tracemalloc.start()
+        try:
+            for limit in limits:
+                _largest_prime_factor(limit)
+            resident = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        table = _largest_prime_factor(0).base
+        assert len(table) <= 2 * max(limits) + 1
+        assert resident <= table.nbytes + 2**16
+        assert _largest_prime_factor.cache_info().currsize == 1
+        assert not _largest_prime_factor(10).flags.writeable
+
+    def test_guard_trips_before_the_table_grows(self):
+        _largest_prime_factor.cache_clear()
+        _largest_prime_factor(100)
+        before = _largest_prime_factor.cache_info()
+        tracemalloc.start()
+        try:
+            with pytest.raises(ResourceGuardError):
+                _largest_prime_factor(4_000_001)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**16
+        assert _largest_prime_factor.cache_info() == before
+        assert len(_largest_prime_factor(100)) == 101
 
 
 class TestSmoothSet:

@@ -104,10 +104,13 @@ def _arc_count(q_top: int) -> int:
     return count
 
 
-def _build(style: str, cutoff: float, params: Parameters, width_of) -> ArcDissection:
+def _build(style: str, cutoff: float, params: Parameters, width_of,
+           q_max: int | None = None) -> ArcDissection:
     if cutoff < 1:
         raise PreconditionError(f"arc cutoff must be >= 1, got {cutoff}")
-    q_top = math.floor(cutoff)
+    if q_max is not None and q_max < 1:
+        raise PreconditionError(f"q_max must be >= 1, got {q_max}")
+    q_top = math.floor(cutoff) if q_max is None else min(math.floor(cutoff), int(q_max))
     if _arc_count(q_top) > _ARC_COUNT_GUARD:
         raise ResourceGuardError(
             f"dissection would exceed {_ARC_COUNT_GUARD} arcs; lower the cutoff"
@@ -133,9 +136,18 @@ def p_dissection(params: Parameters, L: float | None = None) -> ArcDissection:
     return _build("P", L, params, lambda q: L / params.N)
 
 
-def m_dissection(params: Parameters, X: float) -> ArcDissection:
-    """Arcs |q*alpha - a| <= X/P^3 around a/q for q <= X."""
-    return _build("M", X, params, lambda q: X / (q * params.P**3))
+def m_dissection(params: Parameters, X: float, *, q_max: int | None = None) -> ArcDissection:
+    """Arcs |q*alpha - a| <= X/P^3 around a/q for q <= X.
+
+    With q_max, only the arcs with q <= min(X, q_max) are built; each keeps
+    the family's half-width X/(q P^3), and they come in the same (lo, hi)
+    order as in the full family, of which they are exactly the q <= q_max
+    members.  A point inside one of them gets the same arc_membership
+    label from both families: every arc that also contains it with a
+    smaller (q, a) has q <= q_max too.  Off those arcs the restricted
+    family sees the minor arcs.
+    """
+    return _build("M", X, params, lambda q: X / (q * params.P**3), q_max)
 
 
 def n_dissection(params: Parameters) -> ArcDissection:
@@ -340,7 +352,9 @@ def mean_value_grid(integrand: ArcIntegrand, grid_points: int) -> complex:
     O(M log M) regardless of the index-set sizes.  The grid-size arrays are
     those spectra and the running product; conjugates, powers and the
     twist are taken in blocks of _BLOCK_ENTRIES points, each point's
-    product in factor order, so the block size never changes a bit.
+    product in factor order, and every block has full length (a short last
+    block ends at M and starts earlier), so the block size never changes a
+    bit.
     """
     M = int(grid_points)
     if M > _GRID_GUARD:
@@ -354,10 +368,15 @@ def mean_value_grid(integrand: ArcIntegrand, grid_points: int) -> complex:
     for spec, _, _ in integrand.factors:
         if spec not in spectra:
             spectra[spec] = _grid_spectrum(spec, M)
-    total = np.ones(M, dtype=np.complex128)
+    total = np.empty(M, dtype=np.complex128)
     shift = integrand.twist % M
     for start in range(0, M, _BLOCK_ENTRIES):
+        # numpy's complex ufuncs round a one-entry array on another path, so
+        # a short last block is moved back to full length; its overlap with
+        # the block before is recomputed to the same values.
+        start = max(0, min(start, M - _BLOCK_ENTRIES))
         part = total[start : start + _BLOCK_ENTRIES]
+        part.fill(1.0)
         for spec, exponent, conjugated in integrand.factors:
             factor = spectra[spec][start : start + _BLOCK_ENTRIES]
             if conjugated:

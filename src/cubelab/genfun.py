@@ -55,6 +55,7 @@ _TERM_GUARD = 10**8
 _FLOAT_EXACT_CUBE = 208_000  # a round bound below 208,063, the largest x with x^3 < 2^53
 _DEKKER_LIMIT = {3: _FLOAT_EXACT_CUBE, 1: 2**53 - 1}  # largest |x| with x^power exact
 _BLOCK_ENTRIES = 1 << 18  # phase-matrix entries evaluated at once (4 MB complex)
+_OSC_NODE_BUDGET = 2_000_000  # quadrature nodes one v or w integral may use
 
 
 class QuadratureError(RuntimeError):
@@ -322,7 +323,7 @@ def _oscillatory_value(beta: float, Z: float, lo: float, hi: float,
                        tol: float) -> OscIntegralValue:
     if Z <= 0:
         raise PreconditionError(f"Z must be positive, got {Z}")
-    cur, prev = _batch_rule(np.array([beta]), lo, hi, tol, max_panels=2_000_000 // 16)
+    cur, prev = _batch_rule(np.array([beta]), lo, hi, tol, max_panels=_OSC_NODE_BUDGET // 16)
     value = complex(cur[0])
     return OscIntegralValue(beta=beta, Z=Z, value=value,
                             abs_error_estimate=abs(value - complex(prev[0])))

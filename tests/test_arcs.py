@@ -231,6 +231,34 @@ class TestMembershipProperty:
         assert {d.style for d in _MEMBERSHIP_FAMILIES} == {"P", "M", "N"}
 
 
+_NESTED = m_dissection(TOY, 20.0)  # arcs 1/q, 12 <= q <= 20, nest inside 0/1's
+
+
+class TestRestrictedFamily:
+    """m_dissection(..., q_max=k) is the full family's q <= k part."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(1, 24), st.one_of(
+        st.floats(0.0, 1.0, exclude_max=True),
+        st.sampled_from([x for arc in _NESTED.arcs for x in (arc.lo, arc.center, arc.hi)
+                         if x < 1.0]),
+    ))
+    def test_overlapping_family_keeps_smallest_label(self, k, alpha):
+        # Where the full family's label has q <= k the restricted one agrees;
+        # elsewhere no arc with q <= k contains alpha.
+        assert _NESTED.overlapping
+        part = m_dissection(TOY, 20.0, q_max=k)
+        assert part.arcs == tuple(arc for arc in _NESTED.arcs if arc.label.q <= k)
+        assert part.cutoff == _NESTED.cutoff
+        full = arc_membership(alpha, _NESTED)
+        expect = full if full is not None and full.q <= k else None
+        assert arc_membership(alpha, part) == expect
+
+    def test_q_max_must_be_positive(self):
+        with pytest.raises(PreconditionError):
+            m_dissection(TOY, 20.0, q_max=0)
+
+
 class TestMeasure:
     def test_m_style_unit_cutoff(self):
         d = m_dissection(BIG, 1.0)
@@ -436,6 +464,9 @@ class TestGridSpectrum:
            exponents=st.lists(st.integers(1, 3), min_size=3, max_size=3),
            conjugated=st.lists(st.booleans(), min_size=3, max_size=3),
            twist=st.integers(-3000, 3000), extra=st.integers(0, 50), block=st.integers(5, 97))
+    @example(specs=[set_spec(smooth_set(8, 0.875)), set_spec(smooth_set(1, 0.5))],
+             exponents=[1, 2, 1], conjugated=[False, False, False], twist=791, extra=48,
+             block=33)  # M = 1354 = 41 * 33 + 1: a one-entry last block
     def test_block_budget_does_not_change_a_bit(self, specs, exponents, conjugated, twist,
                                                 extra, block):
         integrand = ArcIntegrand(factors=tuple(zip(specs, exponents, conjugated)), twist=twist)

@@ -126,6 +126,38 @@ class TestExitCodes:
         assert main(list(argv)) == 3
         assert "sample cap" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("P", ["1e5", "2e6"])
+    def test_residual_large_P_is_3_before_any_work(self, capsys, monkeypatch, P):
+        def no_work(*args, **kwargs):
+            raise AssertionError("the guard must trip before any Weyl sum or quadrature")
+
+        monkeypatch.setattr("cubelab.experiments.weyl_sum", no_work)
+        monkeypatch.setattr("cubelab.experiments.major_arc_approximant", no_work)
+        assert main(["residual", "--P", P]) == 3
+        assert "resource guard" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("P", ["nan", "inf", "1e120"])
+    def test_residual_bad_P_is_2(self, capsys, P):
+        assert main(["residual", "--P", P]) == 2
+        assert "precondition violation" in capsys.readouterr().err
+
+    def test_residual_past_the_full_family_guard_runs(self, capsys):
+        # The q <= P^(6/5) family at P = 1000 would pass the arc guard;
+        # the two arcs sampled here do not.
+        assert main(["residual", "--P", "1000", "--qmax", "2", "--samples", "1"]) == 0
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.one_of(
+        st.sampled_from([math.nan, math.inf, -math.inf, 1e120, 1e5, 2e6]),
+        st.floats(1.0, 60.0),
+    ))
+    def test_residual_P_exits_cleanly(self, P):
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = main(["residual", f"--P={P!r}"])
+        assert code in (0, 2, 3)
+        assert "Traceback" not in err.getvalue()
+
     def test_numerical_nonconvergence_is_4(self, capsys):
         # An impossible oscillatory-integral tolerance exhausts the panel
         # budget inside the arc model.

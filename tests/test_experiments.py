@@ -1,9 +1,13 @@
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from cubelab.experiments import predict_table, residual_sweep
-from cubelab.params import PreconditionError
+from cubelab import experiments
+from cubelab.arcs import arc_membership, m_dissection
+from cubelab.experiments import _sample_points, predict_table, residual_sweep
+from cubelab.params import PreconditionError, ResourceGuardError, derive_parameters
 
 
 class TestResidualSweep:
@@ -41,6 +45,52 @@ class TestResidualSweep:
     def test_q_cap(self):
         with pytest.raises(PreconditionError):
             residual_sweep(30.0, 51)
+
+    @pytest.mark.parametrize("P", [math.nan, math.inf, -math.inf, 1e120, 0.5, 0.0, -3.0])
+    def test_bad_P_is_a_precondition(self, P):
+        with pytest.raises(PreconditionError):
+            residual_sweep(P, 10)
+
+    @pytest.mark.parametrize("P, q_max, samples", [
+        (1e102, 2, 1),  # v-integral past its node budget (1e5 and 2e6: tests/test_cli.py)
+        (3600.0, 10, 9),  # 288 samples x 3600 Weyl terms past the sample cap
+    ])
+    def test_large_P_is_guarded_before_any_work(self, monkeypatch, P, q_max, samples):
+        def no_work(*args, **kwargs):
+            raise AssertionError("the guard must trip before any Weyl sum or quadrature")
+
+        monkeypatch.setattr(experiments, "weyl_sum", no_work)
+        monkeypatch.setattr(experiments, "major_arc_approximant", no_work)
+        with pytest.raises(ResourceGuardError):
+            residual_sweep(P, q_max, samples=samples)
+
+    def test_builds_only_the_sampled_arcs(self, monkeypatch):
+        # 1 + sum of phi(q) for q <= 10 = 33 arcs, not the 19,275 with q <= P^(6/5).
+        built = []
+
+        def spy(*args, **kwargs):
+            d = m_dissection(*args, **kwargs)
+            built.append(len(d))
+            return d
+
+        monkeypatch.setattr(experiments, "m_dissection", spy)
+        residual_sweep(100.0, 10, samples=4)
+        phi = [sum(math.gcd(a, q) == 1 for a in range(1, q + 1)) for q in range(1, 11)]
+        assert built == [1 + sum(phi)] == [33]
+
+    @settings(max_examples=25, deadline=None)
+    @given(st.floats(10.0, 150.0), st.integers(1, 12), st.integers(1, 6))
+    def test_restricted_family_matches_the_full_one(self, P, k, samples):
+        # The dissection residual_sweep(P, k, samples) samples, built whole and restricted.
+        N = int(round(4 * P**3))
+        params = derive_parameters(N, 1 / 3, L_override=min(float(k), float(N)))
+        full = m_dissection(params, P ** (6 / 5))
+        part = m_dissection(params, P ** (6 / 5), q_max=k)
+        assert part.arcs == tuple(arc for arc in full.arcs if arc.label.q <= k)
+        points = _sample_points(part, k, samples)
+        assert points == _sample_points(full, k, samples)
+        for arc, alpha in points:
+            assert arc_membership(alpha, part) == arc_membership(alpha, full) == arc.label
 
 
 class TestPredictTable:

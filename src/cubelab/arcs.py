@@ -4,7 +4,9 @@ Three arc styles share one container: the wide arcs of half-width L/N
 around every a/q with q <= L, the narrow arcs |q*alpha - a| <= X/P^3 with
 q <= X, and the latter specialized to X = P^(3/4).  Arcs are closed
 intervals clipped to [0, 1); the arc around 1 is the wraparound twin of
-the arc around 0, so clipping keeps the total measure exact.
+the arc around 0, so clipping keeps the total measure exact.  The major-arc
+kernels rho_kernel and sigma_kernel (products of v and w, at one beta or an
+array) are what truncated_singular_integral integrates against e(-n beta).
 
 Full-circle moments are never obtained by quadrature on the minor-arc
 complement (hopelessly oscillatory); they come from equispaced grid
@@ -20,7 +22,7 @@ from functools import cached_property
 
 import numpy as np
 
-from cubelab.expsums import cubic_gauss_sum
+from cubelab.expsums import cube_spectrum, cubic_gauss_sum
 from cubelab.genfun import (
     _BLOCK_ENTRIES,
     WeylSumSpec,
@@ -46,6 +48,8 @@ __all__ = [
     "dissection_measure",
     "evaluate_integrand",
     "integrate_over_arcs",
+    "rho_kernel",
+    "sigma_kernel",
     "truncated_singular_integral",
     "major_arc_approximant",
     "mean_value_grid",
@@ -153,9 +157,7 @@ def m_dissection(params: Parameters, X: float, *, q_max: int | None = None) -> A
 def n_dissection(params: Parameters) -> ArcDissection:
     """The narrow pruning family: the X = P^(3/4) specialization."""
     X = params.P ** 0.75
-    d = m_dissection(params, X)
-    return ArcDissection(style="N", cutoff=d.cutoff, arcs=d.arcs,
-                         params=params, overlapping=d.overlapping)
+    return _build("N", X, params, lambda q: X / (q * params.P**3))
 
 
 def arc_membership(alpha: float, dissection: ArcDissection) -> Rational | None:
@@ -263,14 +265,56 @@ def integrate_over_arcs(integrand: ArcIntegrand, dissection: ArcDissection,
     return complex(math.fsum(reals), math.fsum(imags))
 
 
+def _osc(beta: float | np.ndarray, lo: float, hi: float, tol: float) -> complex | np.ndarray:
+    """integral over [lo, hi] of e(beta g^3) dg: v or w's complex at a float beta, or an array."""
+    values, _ = _batch_rule(np.atleast_1d(beta), lo, hi, tol)
+    return values if np.ndim(beta) else complex(values[0])
+
+
+def rho_kernel(beta: float | np.ndarray, params: Parameters, C: float,
+               tol: float = 1e-10) -> complex | np.ndarray:
+    """C * h(0)^2 * v(beta; P)^2, the major-arc kernel of the restricted count.
+
+    A float beta gives a complex with v_integral's bits, a 1-D array one
+    value per entry from one shared _batch_rule grid.  C is the bilinear
+    prefactor the caller supplies (no closed form exists for it here); see
+    genfun.estimate_bilinear_prefactor for a labeled heuristic.
+    """
+    if C <= 0:
+        raise PreconditionError(f"C must be positive, got {C}")
+    h0 = _smooth_count(params.R, params.eta)
+    v = _osc(beta, params.P, 2 * params.P, tol)
+    return C * h0 * h0 * v * v
+
+
+def sigma_kernel(beta: float | np.ndarray, P: float, R: float, tol: float = 1e-10,
+                 form: str = "direct") -> complex | np.ndarray:
+    """(w(beta;2P)^2 - w(beta;P)^2) * w(beta;R)^2, the full-range kernel.
+
+    form="factored" evaluates the algebraically equal
+    (v(beta;P)^2 + 2 v(beta;P) w(beta;P)) * w(beta;R)^2 for cross-checks.
+    beta is a float or a 1-D array, as in rho_kernel (one grid per range).
+    """
+    if P <= 0 or R <= 0:
+        raise PreconditionError(f"P and R must be positive, got P={P}, R={R}")
+    if form not in ("direct", "factored"):
+        raise PreconditionError(f"unknown form {form!r}")
+    wR, wP = _osc(beta, 0.0, R, tol), _osc(beta, 0.0, P, tol)
+    if form == "direct":
+        w2P = _osc(beta, 0.0, 2 * P, tol)
+        return (w2P * w2P - wP * wP) * wR * wR
+    v = _osc(beta, P, 2 * P, tol)
+    return (v * v + 2 * v * wP) * wR * wR
+
+
 def truncated_singular_integral(n: int, params: Parameters, kind: str, C: float = 1.0,
                                 tol: float = 1e-8, L: float | None = None) -> float:
     """integral over [-L/N, L/N] of kernel(beta) e(-n beta) d beta, real part.
 
-    kind "u" integrates C h(0)^2 v(beta;P)^2 (the restricted-count kernel);
-    kind "W" integrates (w(beta;2P)^2 - w(beta;P)^2) w(beta;R)^2.  tol is
-    relative; the imaginary residue must stay below 1e-6 relative (the
-    integrand is conjugate-symmetric in beta) or an ArithmeticError flags it.
+    kind "u" integrates rho_kernel (the restricted count), kind "W"
+    sigma_kernel; each panel grid is one array call.  tol is relative; the
+    imaginary residue must stay below 1e-6 relative (the integrand is
+    conjugate-symmetric in beta) or an ArithmeticError flags it.
 
     n is any positive integer: the window base only sets the integration
     range, and probing frequencies outside (N, 2N] is deliberately allowed
@@ -290,18 +334,13 @@ def truncated_singular_integral(n: int, params: Parameters, kind: str, C: float 
         raise PreconditionError(f"kind must be 'u' or 'W', got {kind!r}")
     L = params.L if L is None else L
     half = L / params.N
-    P, R = params.P, params.R
-    h0 = _smooth_count(R, params.eta)
+    P = params.P
     inner_tol = 1e-12 * max(P, 1.0)
 
     def kernel_batch(betas: np.ndarray) -> np.ndarray:
         if kind == "u":
-            v, _ = _batch_rule(betas, P, 2 * P, inner_tol)
-            return C * h0 * h0 * v * v
-        w2, _ = _batch_rule(betas, 0.0, 2 * P, inner_tol)
-        w1, _ = _batch_rule(betas, 0.0, P, inner_tol)
-        wr, _ = _batch_rule(betas, 0.0, R, inner_tol)
-        return (w2 * w2 - w1 * w1) * wr * wr
+            return rho_kernel(betas, params, C, inner_tol)
+        return sigma_kernel(betas, P, params.R, inner_tol)
 
     cycles = 2 * half * n + 2 * half * (2 * P) ** 3
     panels = max(4, min(int(cycles / 2) + 4, 4096))
@@ -334,20 +373,11 @@ def major_arc_approximant(alpha: float, dissection: ArcDissection, kind: str,
     return front * w_integral(beta, 2 * dissection.params.P, tol).value
 
 
-def _grid_spectrum(spec: WeylSumSpec, M: int) -> np.ndarray:
-    """sum_x e(j x^3 / M) at every j < M: the conjugated FFT of the cube residues mod M."""
-    values = spec.term_values() % M
-    cubes = (values * values % M) * values % M
-    z = np.bincount(cubes, minlength=M).astype(np.complex128)
-    np.fft.fft(z, out=z)
-    return np.conj(z, out=z)
-
-
 def mean_value_grid(integrand: ArcIntegrand, grid_points: int) -> complex:
     """Equispaced average over the full circle, exact by orthogonality.
 
     Each Weyl-sum factor is evaluated at every j/M simultaneously through
-    the cube-residue distribution mod M (_grid_spectrum: one FFT per
+    the cube-residue distribution mod M (expsums.cube_spectrum: one FFT per
     distinct factor, which a conjugated copy reuses), so the cost is
     O(M log M) regardless of the index-set sizes.  The grid-size arrays are
     those spectra and the running product; conjugates, powers and the
@@ -367,7 +397,7 @@ def mean_value_grid(integrand: ArcIntegrand, grid_points: int) -> complex:
     spectra: dict[WeylSumSpec, np.ndarray] = {}
     for spec, _, _ in integrand.factors:
         if spec not in spectra:
-            spectra[spec] = _grid_spectrum(spec, M)
+            spectra[spec] = cube_spectrum(M, spec.term_values())
     total = np.empty(M, dtype=np.complex128)
     shift = integrand.twist % M
     for start in range(0, M, _BLOCK_ENTRIES):

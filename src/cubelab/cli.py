@@ -5,8 +5,8 @@ timestamp, input hashes, per-op timings); the data file carries a single
 leading comment line pointing at it.  Data files contain no timestamps, so
 re-running a command with the same inputs reproduces them byte for byte.
 
-Exit codes: 0 success, 1 usage, 2 precondition violation, 3 resource
-guard, 4 numerical non-convergence.
+Exit codes: 0 success, 1 usage, 2 precondition violation (non-finite or
+overflowing input included), 3 resource guard, 4 numerical non-convergence.
 """
 
 from __future__ import annotations
@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import sys
 import time
 from datetime import datetime, timezone
@@ -185,6 +186,10 @@ def cmd_predict(args, em: Emitter) -> None:
     if args.n is not None:
         ns = [args.n]
     else:
+        if args.n_lo >= args.n_hi:
+            raise PreconditionError(f"need --n-lo < --n-hi, got {args.n_lo} >= {args.n_hi}")
+        if args.samples < 0:
+            raise PreconditionError(f"--samples must be >= 0, got {args.samples}")
         if args.samples > SAMPLE_CAP:
             raise ResourceGuardError(f"{args.samples} samples exceed the sample cap {SAMPLE_CAP}")
         rng = np.random.default_rng(args.seed)
@@ -227,17 +232,18 @@ def cmd_smooth(args, em: Emitter) -> None:
 
 def cmd_genfun(args, em: Emitter) -> None:
     em.set_columns("alpha", "re", "im")
-    params = _params_from(args)
-    spec = spec_from_params(args.kind, params)
     try:
         lo, hi, count = args.alpha_grid.split(":")
         lo, hi, count = float(lo), float(hi), int(count)
     except ValueError as exc:
         raise PreconditionError(f"--alpha-grid wants lo:hi:n, got {args.alpha_grid!r}") from exc
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise PreconditionError(f"--alpha-grid ends must be finite, got {args.alpha_grid!r}")
     if count < 1:
         raise PreconditionError("--alpha-grid needs at least one point")
     if count > SAMPLE_CAP:
         raise ResourceGuardError(f"{count} grid points exceed the sample cap {SAMPLE_CAP}")
+    spec = spec_from_params(args.kind, _params_from(args))
     alphas = np.linspace(lo, hi, count)
     for alpha, val in zip(alphas.tolist(), weyl_sum(alphas, spec).tolist()):
         em.add_row(alpha, val.real, val.imag)
@@ -323,7 +329,7 @@ def build_parser() -> _Parser:
     p.add_argument("--n-lo", type=int, default=4)
     p.add_argument("--n-hi", type=int, default=10**4)
     p.add_argument("--samples", type=int, default=20)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=int, default=None, help="default 0")
     p.add_argument("--theta", type=float, required=True)
     p.add_argument("--qmax", type=int, default=2000)
     common(p)
@@ -344,7 +350,7 @@ def build_parser() -> _Parser:
     p.add_argument("--Z", type=float, default=100.0)
     p.add_argument("--Y", type=float, default=20.0)
     p.add_argument("--J", type=int, default=1)
-    p.add_argument("--eta", type=float, default=0.5)
+    p.add_argument("--eta", type=float, default=None, help="default 0.5")
     common(p)
     p.set_defaults(func=cmd_smooth)
 
@@ -365,7 +371,7 @@ def build_parser() -> _Parser:
                    required=True)
     p.add_argument("--R", type=float, default=10.0)
     p.add_argument("--P", type=float, default=6.0)
-    p.add_argument("--eta", type=float, default=0.5)
+    p.add_argument("--eta", type=float, default=None, help="default 0.5")
     p.add_argument("--grid", type=int, default=4096)
     common(p)
     p.set_defaults(func=cmd_meanvalue)
@@ -382,13 +388,19 @@ def build_parser() -> _Parser:
     return parser
 
 
+# Defaults of flags that --config may set, applied after it (None marks "unset").
+_LATE_DEFAULTS = {"predict": {"seed": 0}, "smooth": {"eta": 0.5}, "meanvalue": {"eta": 0.5}}
+
+
 def _apply_config(args) -> None:
-    if args.config is None:
-        return
-    cfg = parse_config(Path(args.config).read_text())
-    for key, value in cfg.items():
+    """Fill unset flags from --config, then from _LATE_DEFAULTS; reject non-finite floats."""
+    cfg = parse_config(Path(args.config).read_text()) if args.config is not None else {}
+    for key, value in {**_LATE_DEFAULTS.get(args.command, {}), **cfg}.items():
         if hasattr(args, key) and getattr(args, key) is None:
             setattr(args, key, value)
+    for key, value in vars(args).items():
+        if isinstance(value, float) and not math.isfinite(value):
+            raise PreconditionError(f"--{key.replace('_', '-')} must be finite, got {value}")
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -402,7 +414,7 @@ def main(argv: list[str] | None = None) -> int:
         return 0
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else USAGE_EXIT
-    except PreconditionError as exc:
+    except (PreconditionError, OverflowError) as exc:
         print(f"precondition violation: {exc}", file=sys.stderr)
         return PRECONDITION_EXIT
     except ResourceGuardError as exc:

@@ -1,14 +1,15 @@
 """Cubic exponential sums, local solution counts, and the singular series.
 
 S(q, a) = sum_{r=1..q} e(a r^3 / q) is evaluated through the distribution
-of cubes mod q, so a full table over a costs one length-q FFT.  The series
-coefficients use the normalized fourth power (S(q,a)/q)^4: with the
-exponent taken as -4 the series diverges wildly, so +4 is what the
-surrounding arithmetic forces (and what the truncation diagnostics
-confirm).
+of cubes mod q, so a full table over a costs one length-q FFT; the same
+cube_spectrum sums over any index set (arcs.mean_value_grid's Weyl sums at
+every j/M).  The series coefficients use the normalized fourth power
+(S(q,a)/q)^4: with the exponent taken as -4 the series diverges wildly, so
++4 is what the surrounding arithmetic forces (and what the truncation
+diagnostics confirm).
 
 Only the float64 A(q, .) tables (series_coefficient_table) and the Euler
-density tables (_euler_factor_table) stay cached.  The Gauss-sum and
+density tables (_euler_factor_table) stay cached.  The spectrum and
 cube-residue vectors a table is built from are freed after the build;
 gauss_sum_table keeps a small cache for cubic_gauss_sum's few moduli.
 """
@@ -28,6 +29,7 @@ __all__ = [
     "CongruenceCounter",
     "LocalDensity",
     "MAIN_TERM_CONSTANT",
+    "cube_spectrum",
     "cubic_gauss_sum",
     "gauss_sum_table",
     "local_congruence_count",
@@ -83,22 +85,23 @@ class LocalDensity:
     converged: bool
 
 
-def _cube_counts(q: int) -> np.ndarray:
-    """counts[c] = #{1 <= r <= q : r^3 = c (mod q)}."""
-    r = np.arange(q, dtype=np.int64)
-    cubes = (r * r % q) * r % q
-    return np.bincount(cubes, minlength=q)
+def _cube_counts(q: int, values: np.ndarray | None = None) -> np.ndarray:
+    """counts[c] = #{x in values : x^3 = c (mod q)}, values by default 1..q."""
+    x = np.arange(q, dtype=np.int64) if values is None else np.asarray(values, dtype=np.int64) % q
+    return np.bincount((x * x % q) * x % q, minlength=q)
 
 
-def _gauss_sums(q: int) -> np.ndarray:
-    """S(q, a) for a = 0..q-1 as one complex vector (built afresh each call)."""
-    return np.conj(np.fft.fft(_cube_counts(q)))
+def cube_spectrum(q: int, values: np.ndarray | None = None) -> np.ndarray:
+    """sum_{x in values} e(a x^3 / q), a < q (values 1..q: S(q, a)); a fresh in-place FFT."""
+    z = _cube_counts(q, values).astype(np.complex128)
+    np.fft.fft(z, out=z)
+    return np.conj(z, out=z)
 
 
 @lru_cache(maxsize=128)
 def gauss_sum_table(q: int) -> np.ndarray:
     """S(q, a) for a = 0..q-1, cached for cubic_gauss_sum's few moduli q <= q_max."""
-    return _gauss_sums(q)
+    return cube_spectrum(q)
 
 
 def cubic_gauss_sum(q: int, a: int) -> complex:
@@ -179,8 +182,7 @@ def series_coefficient_table(q: int) -> np.ndarray:
     parts must vanish (conjugate a <-> q-a pairing) and are checked before
     the real coercion.
     """
-    s_over_q = _gauss_sums(q) / q
-    weights = s_over_q**4
+    weights = (cube_spectrum(q) / q) ** 4
     coprime = np.ones(q, dtype=bool)  # for q = 1 this admits a = 0, i.e. the a = q term
     for p, _ in _factorize(q):
         coprime[::p] = False

@@ -12,8 +12,9 @@ s > 64 (alpha < 2^-11 with a full mantissa) does a big-integer loop run.
 Every integral in this module and in arcs goes through one driver,
 _gauss_legendre: 16-point Gauss-Legendre on a panel grid whose count,
 seeded by the oscillation count, doubles until the caller's stopping test
-holds or its node budget runs out (QuadratureError).  The oscillatory
-integrals v and w are _batch_rule at a single beta; Z stays small enough
+holds or its node budget runs out (QuadratureError).  Every _batch_rule
+has the one budget _OSC_NODE_BUDGET; v and w are _batch_rule at a single
+beta, and arcs builds the major-arc kernels from it.  Z stays small enough
 at desk scale that no Filon-type machinery is warranted.  Phase matrices
 (alpha by term in weyl_sum, beta by node in _batch_rule) are evaluated in
 blocks of whole rows within _BLOCK_ENTRIES entries (4 MB of complex); each
@@ -46,8 +47,6 @@ __all__ = [
     "fractional_phases",
     "v_integral",
     "w_integral",
-    "rho_kernel",
-    "sigma_kernel",
     "estimate_bilinear_prefactor",
 ]
 
@@ -55,7 +54,7 @@ _TERM_GUARD = 10**8
 _FLOAT_EXACT_CUBE = 208_000  # a round bound below 208,063, the largest x with x^3 < 2^53
 _DEKKER_LIMIT = {3: _FLOAT_EXACT_CUBE, 1: 2**53 - 1}  # largest |x| with x^power exact
 _BLOCK_ENTRIES = 1 << 18  # phase-matrix entries evaluated at once (4 MB complex)
-_OSC_NODE_BUDGET = 2_000_000  # quadrature nodes one v or w integral may use
+_OSC_NODE_BUDGET = 2_000_000  # quadrature nodes any one _batch_rule may use
 
 
 class QuadratureError(RuntimeError):
@@ -286,18 +285,19 @@ def _gauss_legendre(integrand, lo: float, hi: float, panels: int, max_nodes: int
         prev = cur
 
 
-def _batch_rule(betas: np.ndarray, lo: float, hi: float, tol: float,
-                max_panels: int = 65_536) -> tuple[np.ndarray, np.ndarray]:
+def _batch_rule(betas: np.ndarray, lo: float, hi: float,
+                tol: float) -> tuple[np.ndarray, np.ndarray]:
     """integral over [lo, hi] of e(beta * g^3) dg for a whole array of beta.
 
     One shared grid sized for the worst oscillation in the batch, doubled
-    until no value moves by more than tol; returns the values on the last
-    grid and on the one before it (their gap is the error estimate).
+    until no value moves by more than tol (QuadratureError past the budget);
+    returns the values on the last grid and on the one before it (their gap
+    is the error estimate).
     The phase matrix (beta by node) is evaluated in place, in blocks of
     whole rows within _BLOCK_ENTRIES (4 MB), however large the batch is;
     each row sums alone, so the block size never changes a bit.
     """
-    if tol <= 0:
+    if not tol > 0:  # NaN too
         raise PreconditionError(f"tol must be positive, got {tol}")
     betas = np.asarray(betas, dtype=np.float64)
     if len(betas) == 0:
@@ -315,7 +315,7 @@ def _batch_rule(betas: np.ndarray, lo: float, hi: float, tol: float,
             out[start : start + rows] = z.sum(axis=1)
         return out
 
-    return _gauss_legendre(integrand, lo, hi, max(4, int(cycles / 2) + 4), 16 * max_panels,
+    return _gauss_legendre(integrand, lo, hi, max(4, int(cycles / 2) + 4), _OSC_NODE_BUDGET,
                            lambda cur, prev: float(np.abs(cur - prev).max()) <= tol)
 
 
@@ -323,7 +323,7 @@ def _oscillatory_value(beta: float, Z: float, lo: float, hi: float,
                        tol: float) -> OscIntegralValue:
     if Z <= 0:
         raise PreconditionError(f"Z must be positive, got {Z}")
-    cur, prev = _batch_rule(np.array([beta]), lo, hi, tol, max_panels=_OSC_NODE_BUDGET // 16)
+    cur, prev = _batch_rule(np.array([beta]), lo, hi, tol)
     value = complex(cur[0])
     return OscIntegralValue(beta=beta, Z=Z, value=value,
                             abs_error_estimate=abs(value - complex(prev[0])))
@@ -342,40 +342,6 @@ def w_integral(beta: float, Z: float, tol: float = 1e-10) -> OscIntegralValue:
 @lru_cache(maxsize=64)
 def _smooth_count(R: float, eta: float) -> int:
     return len(smooth_set(R, eta))
-
-
-def rho_kernel(beta: float, params: Parameters, C: float, tol: float = 1e-10) -> complex:
-    """C * h(0)^2 * v(beta; P)^2, the major-arc kernel of the restricted count.
-
-    C is the bilinear prefactor the caller supplies (no closed form exists
-    for it here); see estimate_bilinear_prefactor for a labeled heuristic.
-    """
-    if C <= 0:
-        raise PreconditionError(f"C must be positive, got {C}")
-    h0 = _smooth_count(params.R, params.eta)
-    v = v_integral(beta, params.P, tol).value
-    return C * h0 * h0 * v * v
-
-
-def sigma_kernel(beta: float, P: float, R: float, tol: float = 1e-10,
-                 form: str = "direct") -> complex:
-    """(w(beta;2P)^2 - w(beta;P)^2) * w(beta;R)^2, the full-range kernel.
-
-    form="factored" evaluates the algebraically equal
-    (v(beta;P)^2 + 2 v(beta;P) w(beta;P)) * w(beta;R)^2 for cross-checks.
-    """
-    if P <= 0 or R <= 0:
-        raise PreconditionError(f"P and R must be positive, got P={P}, R={R}")
-    wR = w_integral(beta, R, tol).value
-    if form == "direct":
-        w2P = w_integral(beta, 2 * P, tol).value
-        wP = w_integral(beta, P, tol).value
-        return (w2P * w2P - wP * wP) * wR * wR
-    if form == "factored":
-        v = v_integral(beta, P, tol).value
-        wP = w_integral(beta, P, tol).value
-        return (v * v + 2 * v * wP) * wR * wR
-    raise PreconditionError(f"unknown form {form!r}")
 
 
 def estimate_bilinear_prefactor(params: Parameters) -> float:

@@ -83,6 +83,8 @@ def minicube_bound(n: int, theta: float) -> int:
     """
     if n < 1:
         raise PreconditionError(f"n must be positive, got {n}")
+    if not math.isfinite(theta):
+        raise PreconditionError(f"theta must be finite, got {theta}")
     frac = _snap_to_rational(theta)
     if frac is not None:
         return integer_root(n**frac.numerator, frac.denominator)

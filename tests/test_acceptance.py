@@ -26,6 +26,7 @@ from cubelab.arcs import (
     m_dissection,
     mean_value_grid,
     moment_integrand,
+    sigma_kernel,
     truncated_singular_integral,
 )
 from cubelab.expsums import (
@@ -37,7 +38,7 @@ from cubelab.expsums import (
     singular_series_values,
 )
 from cubelab.experiments import residual_sweep
-from cubelab.genfun import interval_spec, set_spec, sigma_kernel, v_integral, w_integral
+from cubelab.genfun import interval_spec, set_spec, v_integral, w_integral
 from cubelab.params import derive_parameters
 from cubelab.repcount import batch_scan, count_r, hua_count, minicube_bound
 

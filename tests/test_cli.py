@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import csv
 import importlib
@@ -16,7 +17,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import cubelab
-from cubelab.cli import Emitter, _fmt, main
+from cubelab.cli import Emitter, _fmt, build_parser, main
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
 
@@ -25,6 +26,24 @@ def run(capsys, *argv) -> tuple[int, str]:
     code = main(list(argv))
     out = capsys.readouterr().out
     return code, out
+
+
+def _float_flags() -> list[tuple[str, str]]:
+    """(subcommand, flag) for every float-typed flag, read off the parser."""
+    sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    return [(name, action.option_strings[0]) for name, p in sub.choices.items()
+            for action in p._actions if action.type is float]
+
+
+# The arguments each subcommand requires, at values that would run.
+_BASE_ARGS = {
+    "count": ["--n", "100", "--theta", "0.3"],
+    "scan": ["--n-lo", "100", "--n-hi", "110", "--theta", "0.3"],
+    "predict": ["--theta", "0.3", "--samples", "2", "--n-hi", "100"],
+    "genfun": ["--kind", "f", "--alpha-grid", "0:1:2"],
+    "arcs": ["--style", "P"],
+    "meanvalue": ["--shape", "G2"],
+}
 
 
 class TestBasicCommands:
@@ -147,16 +166,42 @@ class TestExitCodes:
         assert main(["residual", "--P", "1000", "--qmax", "2", "--samples", "1"]) == 0
 
     @settings(max_examples=40, deadline=None)
-    @given(st.one_of(
-        st.sampled_from([math.nan, math.inf, -math.inf, 1e120, 1e5, 2e6]),
-        st.floats(1.0, 60.0),
-    ))
-    def test_residual_P_exits_cleanly(self, P):
+    @given(flag=st.sampled_from(_float_flags()), value=st.sampled_from(["nan", "inf", "-inf"]))
+    @example(flag=("count", "--theta"), value="nan")
+    @example(flag=("scan", "--theta"), value="nan")
+    @example(flag=("predict", "--theta"), value="nan")
+    @example(flag=("arcs", "--cutoff"), value="nan")
+    @example(flag=("smooth", "--R"), value="nan")
+    @example(flag=("smooth", "--X"), value="nan")
+    @example(flag=("smooth", "--Y"), value="nan")
+    @example(flag=("meanvalue", "--P"), value="nan")
+    @example(flag=("genfun", "--tau"), value="nan")
+    @example(flag=("count", "--theta"), value="inf")
+    @example(flag=("count", "--theta"), value="1e308")  # finite, but n^theta overflows
+    @example(flag=("arcs", "--cutoff"), value="inf")
+    @example(flag=("smooth", "--R"), value="inf")
+    @example(flag=("smooth", "--Y"), value="inf")
+    @example(flag=("meanvalue", "--R"), value="inf")
+    @example(flag=("genfun", "--tau"), value="inf")
+    @example(flag=("residual", "--tol"), value="nan")
+    @example(flag=("residual", "--P"), value="-inf")
+    def test_non_finite_float_flags_are_2(self, flag, value):
+        command, option = flag
         err = io.StringIO()
         with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
-            code = main(["residual", f"--P={P!r}"])
-        assert code in (0, 2, 3)
-        assert "Traceback" not in err.getvalue()
+            code = main([command, *_BASE_ARGS.get(command, []), f"{option}={value}"])
+        assert code == 2, err.getvalue()
+        assert "precondition violation" in err.getvalue()
+
+    @pytest.mark.parametrize("argv", [
+        ("predict", "--theta", "0.3", "--n-lo", "10", "--n-hi", "5"),
+        ("predict", "--theta", "0.3", "--samples", "-1"),
+        ("genfun", "--kind", "f", "--alpha-grid", "nan:1:4"),
+        ("genfun", "--kind", "f", "--alpha-grid", "0:inf:4"),
+    ])
+    def test_bad_ranges_are_2(self, capsys, argv):
+        assert main(list(argv)) == 2
+        assert "precondition violation" in capsys.readouterr().err
 
     def test_numerical_nonconvergence_is_4(self, capsys):
         # An impossible oscillatory-integral tolerance exhausts the panel
@@ -214,6 +259,29 @@ class TestFilesAndFormats:
         assert code == 0
         # N from config: P = 6, so F0(0) = 6.
         assert float(out.strip().splitlines()[1].split(",")[1]) == pytest.approx(6.0)
+
+    @pytest.mark.parametrize("argv, key, value", [
+        (("predict", "--theta", "0.3", "--qmax", "10", "--samples", "3", "--n-lo", "100",
+          "--n-hi", "200"), "seed", "5"),
+        (("smooth", "--R", "100"), "eta", "0.3"),
+        (("meanvalue", "--shape", "f2h6"), "eta", "0.3"),
+    ])
+    def test_config_value_equals_the_flag(self, tmp_path, capsys, argv, key, value):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"{key} = {value}\n")
+        from_config = run(capsys, "--config", str(cfg), *argv)
+        from_flag = run(capsys, *argv, f"--{key}", value)
+        assert from_config == from_flag
+        assert from_flag[0] == 0 and from_flag != run(capsys, *argv)
+
+    def test_flag_beats_config(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("eta = 0.3\nseed = 5\n")
+        assert run(capsys, "--config", str(cfg), "smooth", "--R", "100", "--eta", "0.5") == \
+            run(capsys, "smooth", "--R", "100")
+        predict = ("predict", "--theta", "0.3", "--qmax", "10", "--samples", "3")
+        assert run(capsys, "--config", str(cfg), *predict, "--seed", "0") == \
+            run(capsys, *predict)
 
     def test_bad_config_rejected(self, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"

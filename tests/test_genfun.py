@@ -7,6 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from cubelab.arcs import rho_kernel, sigma_kernel
 from cubelab.expsums import cubic_gauss_sum
 from cubelab.genfun import (
     QuadratureError,
@@ -14,9 +15,7 @@ from cubelab.genfun import (
     estimate_bilinear_prefactor,
     fractional_phases,
     interval_spec,
-    rho_kernel,
     set_spec,
-    sigma_kernel,
     spec_from_params,
     v_integral,
     w_integral,
@@ -324,12 +323,19 @@ class TestOscillatoryIntegrals:
     def test_budget_failure_raises(self):
         with pytest.raises(QuadratureError):
             v_integral(5e4, 100.0, tol=1e-14)
+        # A batch fails as a whole when its worst beta cannot converge, though
+        # the others converge alone.
+        _batch_rule(np.array([1e-6, 1e-3]), 100.0, 200.0, 1e-9)
+        with pytest.raises(QuadratureError):
+            _batch_rule(np.array([1e-6, 5e4, 1e-3]), 100.0, 200.0, 1e-9)
 
     def test_rejects_bad_args(self):
         with pytest.raises(PreconditionError):
             v_integral(0.1, -1.0)
         with pytest.raises(PreconditionError):
             w_integral(0.1, 1.0, tol=0.0)
+        with pytest.raises(PreconditionError):
+            w_integral(0.1, 1.0, tol=math.nan)
 
 
 class TestKernels:

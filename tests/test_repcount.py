@@ -74,6 +74,13 @@ def peak_bytes(fn) -> int:
 
 
 class TestMinicubeBound:
+    @pytest.mark.parametrize("theta", [math.nan, math.inf, -math.inf])
+    def test_non_finite_theta_is_a_precondition(self, theta):
+        for call in (lambda: minicube_bound(100, theta), lambda: count_r(100, theta),
+                     lambda: batch_scan(100, 110, theta)):
+            with pytest.raises(PreconditionError):
+                call()
+
     def test_exact_rational_paths(self):
         # theta snapped to 1/3, 1/4, 1/5, 3/10: bound is the exact root.
         assert minicube_bound(27, 1 / 3) == 3

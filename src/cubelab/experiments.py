@@ -14,7 +14,7 @@ from cubelab.expsums import (
 )
 from cubelab.genfun import _OSC_NODE_BUDGET, interval_spec, weyl_sum
 from cubelab.params import SAMPLE_CAP, PreconditionError, ResourceGuardError, derive_parameters
-from cubelab.repcount import count_r
+from cubelab.repcount import _check_theta, _float_power, count_r
 
 __all__ = ["ResidualSample", "ResidualSweep", "residual_sweep", "predict_table"]
 
@@ -113,7 +113,16 @@ def residual_sweep(P: float, q_max: int, samples: int = 9,
 
 
 def predict_table(ns: list[int], theta: float, Q_max: int) -> list[dict]:
-    """Per-n rows: exact count, truncated series, main term, ratio."""
+    """Per-n rows: exact count, truncated series, main term, ratio.
+
+    Every n must be >= 4, and theta must keep n^theta and the main term's
+    n^(2 theta - 1/3) in the float range; both are checked before any count.
+    """
+    if ns:
+        if min(ns) < 4:
+            raise PreconditionError(f"every n must be >= 4, got {min(ns)}")
+        _check_theta(max(ns), theta)
+        _float_power(max(ns), 2 * theta - 1 / 3)
     rows = []
     for n in ns:
         rep = count_r(n, theta)

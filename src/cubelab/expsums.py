@@ -12,6 +12,13 @@ Only the float64 A(q, .) tables (series_coefficient_table) and the Euler
 density tables (_euler_factor_table) stay cached.  The spectrum and
 cube-residue vectors a table is built from are freed after the build;
 gauss_sum_table keeps a small cache for cubic_gauss_sum's few moduli.
+
+Both vectorised series apply one length-q table per modulus to every n.
+When the n are a run of consecutive integers (a window), _apply_table
+takes the table as a periodic run, in at most three slice operations and
+without a per-n residue; any other array gathers table[n % q].  Each
+element gets the same table values in the same order with the same IEEE
+operation on either path, so the two give the same bits.
 """
 
 from __future__ import annotations
@@ -222,6 +229,53 @@ def singular_series_truncated(n: int, Q_max: int) -> SeriesReport:
                         value=running, tail_estimate=tail)
 
 
+def _positive_int64(ns) -> np.ndarray:
+    """ns as an int64 array, every entry checked to be in [1, 2^63)."""
+    try:
+        ns = np.asarray(ns, dtype=np.int64)
+    except OverflowError:
+        raise PreconditionError("every n must be below 2^63, the int64 limit") from None
+    if np.any(ns < 1):
+        raise PreconditionError("all n must be positive")
+    return ns
+
+
+def _run_start(ns: np.ndarray) -> int | None:
+    """ns[0] when ns[i] = ns[0] + i for every i (a window of consecutive n), else None."""
+    if len(ns) and int(ns[-1]) - int(ns[0]) == len(ns) - 1 and np.all(np.diff(ns) == 1):
+        return int(ns[0])
+    return None
+
+
+def _apply_table(out: np.ndarray, table: np.ndarray, ns: np.ndarray,
+                 first: int | None, op) -> None:
+    """out[i] = op(out[i], table[ns[i] % q]) in place, q = len(table).
+
+    With first = ns[0] of a run (ns[i] = first + i) the table is applied
+    as a periodic run in at most three slices: a head up to the first n
+    divisible by q, a body viewed as (k, q) that takes the table by
+    broadcasting, and a tail.  No per-n residue is computed, and every
+    element sees the same operands as the gather path (first = None).
+    """
+    q = len(table)
+    if first is None:
+        op(out, table[ns % q], out=out)
+        return
+    r = first % q
+    head = min(q - r, len(out)) if r else 0
+    if head == len(out):  # the whole run lies inside one period
+        op(out, table[r : r + head], out=out)
+        return
+    if head:
+        op(out[:head], table[r:], out=out[:head])
+    k, tail = divmod(len(out) - head, q)
+    if k:
+        body = out[head : head + k * q].reshape(k, q)
+        op(body, table, out=body)
+    if tail:
+        op(out[-tail:], table[:tail], out=out[-tail:])
+
+
 def singular_series_values(ns: np.ndarray, Q_max: int) -> np.ndarray:
     """Truncated singular series for a whole array of n at once.
 
@@ -229,15 +283,19 @@ def singular_series_values(ns: np.ndarray, Q_max: int) -> np.ndarray:
     promised positive: at Q_max = 2000 it is <= 0 at 34 n in [2, 10^4], all
     in the depressed classes n = +-4 (mod 9).  singular_series_euler is the
     accurate evaluation.
+
+    The tables are added in order q = 1..Q_max.  A run of consecutive n (as
+    batch_scan passes) takes each table as a periodic run; any other array
+    gathers per-n residues.  Both paths give the same bits.  Every n must
+    be positive and below 2^63 (int64).
     """
     if Q_max < 1:
         raise PreconditionError(f"Q_max must be >= 1, got {Q_max}")
-    ns = np.asarray(ns, dtype=np.int64)
-    if np.any(ns < 1):
-        raise PreconditionError("all n must be positive")
+    ns = _positive_int64(ns)
+    first = _run_start(ns)
     out = np.zeros(len(ns), dtype=np.float64)
     for q in range(1, Q_max + 1):
-        out += series_coefficient_table(q)[ns % q]
+        _apply_table(out, series_coefficient_table(q), ns, first, np.add)
     return out
 
 
@@ -316,14 +374,16 @@ def singular_series_euler(ns: np.ndarray, p_max: int = 2000) -> np.ndarray:
     for larger ramified p are below sum p^-3 < 1e-4.  Stabilization needs
     the p-adic valuation of n to sit a couple of levels under the table
     depth, which desk-scale windows satisfy.
+
+    The factors multiply in ascending p.  A run of consecutive n takes each
+    factor table as a periodic run, any other array by per-n residues, with
+    the same bits either way.  Every n must be positive and below 2^63.
     """
     from cubelab.smooth import primes_in  # deferred: smooth imports nothing from here
 
-    ns = np.asarray(ns, dtype=np.int64)
-    if np.any(ns < 1):
-        raise PreconditionError("all n must be positive")
+    ns = _positive_int64(ns)
+    first = _run_start(ns)
     out = np.ones(len(ns), dtype=np.float64)
     for p in primes_in(1, p_max):
-        modulus, table = _euler_factor_table(int(p))
-        out *= table[ns % modulus]
+        _apply_table(out, _euler_factor_table(int(p))[1], ns, first, np.multiply)
     return out

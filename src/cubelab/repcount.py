@@ -73,13 +73,34 @@ def _snap_to_rational(theta: float) -> Fraction | None:
     return None
 
 
+def _float_power(n: int, theta: float) -> float:
+    """float(n) ** theta; past the float range a PreconditionError, not an OverflowError."""
+    try:
+        return float(n) ** theta
+    except OverflowError:
+        raise PreconditionError(f"{n}^{theta} overflows a float") from None
+
+
+def _check_theta(n_max: int, theta: float) -> None:
+    """Reject, before any work, a theta that minicube_bound refuses at some n <= n_max.
+
+    That is a non-finite theta, or one whose float path overflows at
+    n_max (n^theta grows with n for theta > 0); n_max >= 1.
+    """
+    if not math.isfinite(theta):
+        raise PreconditionError(f"theta must be finite, got {theta}")
+    if _snap_to_rational(theta) is None:
+        _float_power(n_max, theta)
+
+
 def minicube_bound(n: int, theta: float) -> int:
     """floor(n^theta), certified.
 
     Rational theta = p/q (after snapping) reduces to the exact integer test
     y^q <= n^p.  Otherwise the float value is trusted only when it is at
     least 1e-9 (relative) away from an integer; near-ties re-evaluate at 40
-    significant digits.
+    significant digits.  A non-finite theta, or one for which n^theta
+    overflows a float, is a PreconditionError.
     """
     if n < 1:
         raise PreconditionError(f"n must be positive, got {n}")
@@ -88,7 +109,7 @@ def minicube_bound(n: int, theta: float) -> int:
     frac = _snap_to_rational(theta)
     if frac is not None:
         return integer_root(n**frac.numerator, frac.denominator)
-    cand = float(n) ** theta
+    cand = _float_power(n, theta)
     if abs(cand - round(cand)) < 1e-9 * max(cand, 1.0):
         import mpmath as mp  # deferred: the only mpmath use, and a slow import
 
@@ -173,6 +194,7 @@ def count_r(n: int, theta: float, allow_zero: bool = False) -> RepCountReport:
         raise PreconditionError(f"n must be >= 4, got {n}")
     if n > _SINGLE_N_CAP:
         raise ResourceGuardError(f"n={n} exceeds the single-call cap {_SINGLE_N_CAP}")
+    _check_theta(n, theta)
     count = int(_window_counts(n - 1, n, theta, 0 if allow_zero else 1)[0])
     return RepCountReport(n=n, theta=theta, count=count, variant="r")
 
@@ -276,7 +298,8 @@ def batch_scan(N_lo: int, N_hi: int, theta: float, Q_max: int = 0) -> ScanResult
 
     Q_max > 0 adds the predicted main term (truncated singular series times
     the archimedean factor) and per-n ratios.  The exceptional summary
-    counts n with no representation at all.
+    counts n with no representation at all.  N_hi must be below 2^63 (the
+    window is int64), and theta is checked as minicube_bound checks it.
 
     ``ratios`` and ``mean_ratio`` divide by that truncated-series main term,
     which is <= 0 at dozens of n per window (a truncation of the
@@ -285,6 +308,9 @@ def batch_scan(N_lo: int, N_hi: int, theta: float, Q_max: int = 0) -> ScanResult
     """
     if N_lo < 3 or N_hi <= N_lo:
         raise PreconditionError(f"need 3 <= N_lo < N_hi, got ({N_lo}, {N_hi})")
+    if N_hi >= 2**63:
+        raise PreconditionError(f"N_hi must be below 2^63, the int64 limit, got {N_hi}")
+    _check_theta(N_hi, theta)
     width = N_hi - N_lo
     counts = _window_counts(N_lo, N_hi, theta)
     ns = np.arange(N_lo + 1, N_hi + 1, dtype=np.int64)

@@ -234,6 +234,42 @@ class TestSingularSeries:
         assert all(n % 9 in (4, 5) for n in offenders)
 
 
+# (Q_max, width) with width in [1, 3 Q_max]: windows shorter and longer than q.
+_RUNS = st.integers(1, 2500).flatmap(lambda Q: st.tuples(st.just(Q), st.integers(1, 3 * Q)))
+
+
+class TestRunPath:
+    """A window of consecutive n takes the periodic-run path; reversed, it gathers."""
+
+    @settings(max_examples=15, deadline=None)
+    @given(first=st.integers(1, 10**12), run=_RUNS, p_max=st.integers(2, 2000))
+    @example(first=10**12, run=(2000, 1), p_max=2000)  # width 1
+    # first = 0 mod every q = 2^a 3^b, the deep 2- and 3-adic moduli included
+    @example(first=2**19 * 3**12, run=(2000, 6000), p_max=2000)
+    @example(first=720720, run=(16, 48), p_max=17)  # first = 0 mod q <= 16; width = k q
+    @example(first=7, run=(16, 48), p_max=13)  # width = k q behind a head
+    @example(first=108_500_001, run=(2000, 10_000), p_max=2000)  # the bench window
+    def test_run_and_gather_give_the_same_bits(self, first, run, p_max):
+        Q_max, width = run
+        ns = np.arange(first, first + width, dtype=np.int64)
+        for f, arg in ((singular_series_values, Q_max), (singular_series_euler, p_max)):
+            bits = f(ns, arg).tobytes()
+            assert bits == f(ns[::-1], arg)[::-1].tobytes()
+            assert bits == f(np.repeat(ns, 2), arg)[::2].tobytes()  # a gather at width 1 too
+
+    @pytest.mark.parametrize("f", [lambda ns: singular_series_values(ns, 10),
+                                   singular_series_euler], ids=["values", "euler"])
+    def test_n_past_int64_is_a_precondition_before_any_table(self, f, monkeypatch):
+        def no_tables(*_):
+            raise AssertionError("a table was built")
+
+        monkeypatch.setattr(expsums, "series_coefficient_table", no_tables)
+        monkeypatch.setattr(expsums, "_euler_factor_table", no_tables)
+        for ns in ([2**63], [5, 2**63], [2**70]):
+            with pytest.raises(PreconditionError, match="int64"):
+                f(ns)
+
+
 class TestLocalDensity:
     def test_bijective_prime_exact_one(self):
         # Cubing is a bijection mod 5 (3 does not divide 5-1), so the k=1

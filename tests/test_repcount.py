@@ -81,6 +81,23 @@ class TestMinicubeBound:
             with pytest.raises(PreconditionError):
                 call()
 
+    def test_overflowing_theta_is_a_precondition_before_any_work(self, monkeypatch):
+        # 100^155.3 and 100^200 pass the float range; every theta > 1/3 is
+        # clamped to the cube root, but the float path is taken first.
+        from cubelab import experiments
+
+        def no_work(*_):
+            raise AssertionError("counting started")
+
+        monkeypatch.setattr(repcount, "_window_counts", no_work)
+        monkeypatch.setattr(experiments, "count_r", no_work)
+        for call in (lambda: count_r(100, 155.3), lambda: batch_scan(4, 100, 155.3),
+                     lambda: experiments.predict_table([100], 155.3, 10),
+                     lambda: experiments.predict_table([100], 100.0, 10),  # n^(2 theta - 1/3)
+                     lambda: minicube_bound(100, 200.0)):
+            with pytest.raises(PreconditionError, match="overflows a float"):
+                call()
+
     def test_exact_rational_paths(self):
         # theta snapped to 1/3, 1/4, 1/5, 3/10: bound is the exact root.
         assert minicube_bound(27, 1 / 3) == 3
@@ -403,6 +420,15 @@ class TestCountSigma:
 
 
 class TestBatchScan:
+    def test_n_past_int64_is_a_precondition_before_any_work(self, monkeypatch):
+        def no_work(*_):
+            raise AssertionError("counting started")
+
+        monkeypatch.setattr(repcount, "_window_counts", no_work)
+        for lo, hi in ((2**63, 2**63 + 10), (2**63 - 5, 2**63)):
+            with pytest.raises(PreconditionError, match="int64"):
+                batch_scan(lo, hi, 0.3)
+
     def test_matches_single_calls(self):
         res = batch_scan(4, 100, 1 / 3, Q_max=50)
         for i, n in enumerate(res.ns):

@@ -9,12 +9,14 @@ import numpy as np
 
 from cubelab.arcs import Arc, ArcDissection, m_dissection, major_arc_approximant
 from cubelab.expsums import (
-    MAIN_TERM_CONSTANT,
+    count_ratios,
+    main_term_exponent,
+    main_terms,
     singular_series_truncated,
 )
 from cubelab.genfun import _OSC_NODE_BUDGET, interval_spec, weyl_sum
 from cubelab.params import SAMPLE_CAP, PreconditionError, ResourceGuardError, derive_parameters
-from cubelab.repcount import _check_theta, _float_power, count_r
+from cubelab.repcount import count_r
 
 __all__ = ["ResidualSample", "ResidualSweep", "residual_sweep", "predict_table"]
 
@@ -115,23 +117,23 @@ def residual_sweep(P: float, q_max: int, samples: int = 9,
 def predict_table(ns: list[int], theta: float, Q_max: int) -> list[dict]:
     """Per-n rows: exact count, truncated series, main term, ratio.
 
-    Every n must be >= 4, and theta must keep n^theta and the main term's
-    n^(2 theta - 1/3) in the float range; both are checked before any count.
+    The series is singular_series_truncated per n; the main term and the
+    ratio come from expsums.main_terms and expsums.count_ratios, as in
+    batch_scan, so each row has the bits of batch_scan's entry at that n,
+    and the ratio is signed where the truncated main term is negative
+    (NaN only where it is 0).  Every n must be >= 4, and theta must pass
+    main_term_exponent at max(ns) (which covers count_r's theta checks);
+    both are checked before any series or count, and Q_max before any count.
     """
     if ns:
         if min(ns) < 4:
             raise PreconditionError(f"every n must be >= 4, got {min(ns)}")
-        _check_theta(max(ns), theta)
-        _float_power(max(ns), 2 * theta - 1 / 3)
-    rows = []
-    for n in ns:
-        rep = count_r(n, theta)
-        series = singular_series_truncated(n, Q_max).value
-        predicted = MAIN_TERM_CONSTANT * series * n ** (2 * theta - 1 / 3)
-        ratio = rep.count / predicted if predicted > 0 else float("nan")
-        rows.append({
-            "n": n, "theta": theta, "count": rep.count, "series": series,
-            "main_term": predicted, "ratio": ratio,
-            "exceptional": int(rep.count == 0),
-        })
-    return rows
+        main_term_exponent(max(ns), theta)
+    series = np.array([singular_series_truncated(n, Q_max).value for n in ns])
+    main = main_terms(ns, series, theta)
+    counts = np.array([count_r(n, theta).count for n in ns], dtype=np.int64)
+    ratios = count_ratios(counts, main)
+    return [{"n": n, "theta": theta, "count": count, "series": s, "main_term": m,
+             "ratio": r, "exceptional": int(count == 0)}
+            for n, count, s, m, r in zip(ns, counts.tolist(), series.tolist(),
+                                         main.tolist(), ratios.tolist())]

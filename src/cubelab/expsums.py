@@ -9,7 +9,9 @@ every j/M).  The series coefficients use the normalized fourth power
 diagnostics confirm).
 
 Only the float64 A(q, .) tables (series_coefficient_table) and the Euler
-density tables (_euler_factor_table) stay cached.  The spectrum and
+density tables (_euler_factor_table) stay cached.  The series take Q_max
+<= _Q_MAX_CAP, and the table cache holds that many tables, so a walk
+q = 1..Q_max never evicts a table before its next use.  The spectrum and
 cube-residue vectors a table is built from are freed after the build;
 gauss_sum_table keeps a small cache for cubic_gauss_sum's few moduli.
 
@@ -29,7 +31,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from cubelab.params import PreconditionError
+from cubelab.params import PreconditionError, ResourceGuardError
 
 __all__ = [
     "SeriesReport",
@@ -48,12 +50,16 @@ __all__ = [
     "singular_series_euler",
     "local_density",
     "main_term",
+    "main_term_exponent",
+    "main_terms",
+    "count_ratios",
 ]
 
 #: Gamma(4/3)^2 / Gamma(2/3), the archimedean factor of the main term.
 MAIN_TERM_CONSTANT: float = math.gamma(4.0 / 3.0) ** 2 / math.gamma(2.0 / 3.0)
 
 _DENSITY_MODULUS_CAP = 10**6
+_Q_MAX_CAP = 4096  # largest series modulus
 
 
 @dataclass(frozen=True)
@@ -112,9 +118,11 @@ def gauss_sum_table(q: int) -> np.ndarray:
 
 
 def cubic_gauss_sum(q: int, a: int) -> complex:
-    """S(q, a) = sum_{r=1..q} e(a r^3 / q)."""
+    """S(q, a) = sum_{r=1..q} e(a r^3 / q), for 1 <= q <= _DENSITY_MODULUS_CAP."""
     if q < 1:
         raise PreconditionError(f"q must be positive, got {q}")
+    if q > _DENSITY_MODULUS_CAP:
+        raise ResourceGuardError(f"q={q} exceeds the modulus cap {_DENSITY_MODULUS_CAP}")
     return complex(gauss_sum_table(q)[a % q])
 
 
@@ -181,13 +189,14 @@ def multiplicative_weight(q: int) -> float:
     return value
 
 
-@lru_cache(maxsize=2048)
+@lru_cache(maxsize=_Q_MAX_CAP)
 def series_coefficient_table(q: int) -> np.ndarray:
     """A(q, m) for m = 0..q-1: sum over coprime a of (S(q,a)/q)^4 e(-a m/q).
 
     The table is one FFT of the masked fourth-power vector; the imaginary
     parts must vanish (conjugate a <-> q-a pairing) and are checked before
-    the real coercion.
+    the real coercion.  The cache holds every table up to _Q_MAX_CAP:
+    sum 8q bytes, 16 MB after a series at Q_max = 2000 and 67 MB at 4096.
     """
     weights = (cube_spectrum(q) / q) ** 4
     coprime = np.ones(q, dtype=bool)  # for q = 1 this admits a = 0, i.e. the a = q term
@@ -205,16 +214,29 @@ def series_coefficient_table(q: int) -> np.ndarray:
 
 
 def series_coefficient(q: int, n: int) -> float:
-    """A(q, n), real by conjugate pairing; multiplicative in q for fixed n."""
+    """A(q, n), real by conjugate pairing; multiplicative in q for fixed n.  q <= _Q_MAX_CAP."""
     if q < 1 or n < 1:
         raise PreconditionError(f"q and n must be positive, got q={q}, n={n}")
+    if q > _Q_MAX_CAP:
+        raise ResourceGuardError(f"q={q} exceeds the series modulus cap {_Q_MAX_CAP}")
     return float(series_coefficient_table(q)[n % q])
 
 
-def singular_series_truncated(n: int, Q_max: int) -> SeriesReport:
-    """Partial sums of the four-cube singular series up to modulus Q_max."""
+def _check_q_max(Q_max: int) -> None:
+    """1 <= Q_max <= _Q_MAX_CAP, checked before any table is built."""
     if Q_max < 1:
         raise PreconditionError(f"Q_max must be >= 1, got {Q_max}")
+    if Q_max > _Q_MAX_CAP:
+        raise ResourceGuardError(f"Q_max={Q_max} exceeds the series modulus cap {_Q_MAX_CAP}")
+
+
+def singular_series_truncated(n: int, Q_max: int) -> SeriesReport:
+    """Partial sums of the four-cube singular series up to modulus Q_max.
+
+    1 <= Q_max <= _Q_MAX_CAP (4096); the value has the bits of
+    singular_series_values at the same n.
+    """
+    _check_q_max(Q_max)
     if n < 1:
         raise PreconditionError(f"n must be positive, got {n}")
     partials = []
@@ -287,10 +309,9 @@ def singular_series_values(ns: np.ndarray, Q_max: int) -> np.ndarray:
     The tables are added in order q = 1..Q_max.  A run of consecutive n (as
     batch_scan passes) takes each table as a periodic run; any other array
     gathers per-n residues.  Both paths give the same bits.  Every n must
-    be positive and below 2^63 (int64).
+    be positive and below 2^63 (int64), and 1 <= Q_max <= _Q_MAX_CAP (4096).
     """
-    if Q_max < 1:
-        raise PreconditionError(f"Q_max must be >= 1, got {Q_max}")
+    _check_q_max(Q_max)
     ns = _positive_int64(ns)
     first = _run_start(ns)
     out = np.zeros(len(ns), dtype=np.float64)
@@ -345,16 +366,55 @@ def local_density(p: int, n: int, k_max: int) -> LocalDensity:
     return LocalDensity(p=p, n=n, k_used=k_used, value=value, converged=converged)
 
 
-def main_term(n: int, theta: float, Q_max: int) -> float:
-    """Gamma(4/3)^2/Gamma(2/3) * S(n; Q_max) * n^(2*theta - 1/3).
+def _float_power(n: int, exponent: float) -> float:
+    """float(n) ** exponent; past the float range a PreconditionError, not an OverflowError."""
+    try:
+        return float(n) ** exponent
+    except OverflowError:
+        raise PreconditionError(f"{n}^{exponent} overflows a float") from None
 
-    S(n; Q_max) is the truncated series, so the main term inherits its sign:
-    it is <= 0 wherever the truncation is (see singular_series_values).
+
+def main_term_exponent(n_max: int, theta: float) -> float:
+    """2 theta - 1/3, checked: finite, with n_max^(2 theta - 1/3) a finite double.
+
+    Else PreconditionError.  This also covers n^theta at every n in
+    [2, n_max]: it cannot overflow for theta <= 1/3, and above 1/3 the
+    exponent exceeds theta.  n_max is a positive int (no int64 limit).
     """
+    exponent = 2 * theta - 1 / 3
+    if not math.isfinite(exponent):
+        raise PreconditionError(f"theta must keep 2 theta - 1/3 finite, got {theta}")
+    _float_power(n_max, exponent)
+    return exponent
+
+
+def main_terms(ns, series: np.ndarray, theta: float) -> np.ndarray:
+    """Gamma(4/3)^2/Gamma(2/3) * series * n^(2 theta - 1/3), one entry per n.
+
+    The one place the main term is written.  ns is a sequence of positive
+    ints and series their truncated singular series, from either
+    evaluator; main_term_exponent(max(ns), theta) is checked before any
+    arithmetic.  The term inherits the truncation's sign: it is <= 0
+    wherever the series is (see singular_series_values).
+    """
+    if not len(ns):
+        return np.empty(0)
+    exponent = main_term_exponent(np.max(ns), theta)
+    return MAIN_TERM_CONSTANT * series * np.asarray(ns, dtype=np.float64) ** exponent
+
+
+def count_ratios(counts: np.ndarray, main: np.ndarray) -> np.ndarray:
+    """counts / main wherever the main term is nonzero (signed), NaN where it is 0."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(main != 0.0, counts / main, np.nan)
+
+
+def main_term(n: int, theta: float, Q_max: int) -> float:
+    """main_terms at one n >= 2, with the series from singular_series_truncated."""
     if n < 2:
         raise PreconditionError(f"n must be >= 2, got {n}")
     series = singular_series_truncated(n, Q_max).value
-    return MAIN_TERM_CONSTANT * series * float(n) ** (2.0 * theta - 1.0 / 3.0)
+    return float(main_terms([n], np.array([series]), theta)[0])
 
 
 @lru_cache(maxsize=1024)

@@ -292,7 +292,9 @@ def _batch_rule(betas: np.ndarray, lo: float, hi: float,
     One shared grid sized for the worst oscillation in the batch, doubled
     until no value moves by more than tol (QuadratureError past the budget);
     returns the values on the last grid and on the one before it (their gap
-    is the error estimate).
+    is the error estimate).  A non-finite oscillation count (a NaN or
+    infinite beta or bound, or |beta| (hi^3 - lo^3) past the float range)
+    is a PreconditionError, checked before any node.
     The phase matrix (beta by node) is evaluated in place, in blocks of
     whole rows within _BLOCK_ENTRIES (4 MB), however large the batch is;
     each row sums alone, so the block size never changes a bit.
@@ -302,7 +304,12 @@ def _batch_rule(betas: np.ndarray, lo: float, hi: float,
     betas = np.asarray(betas, dtype=np.float64)
     if len(betas) == 0:
         return np.empty(0, dtype=np.complex128), np.empty(0, dtype=np.complex128)
-    cycles = float(np.abs(betas).max()) * abs(hi**3 - lo**3)
+    try:
+        cycles = float(np.abs(betas).max()) * abs(hi**3 - lo**3)
+    except OverflowError:  # a float bound cubed past the float range
+        cycles = math.inf
+    if not math.isfinite(cycles):
+        raise PreconditionError(f"beta and [{lo}, {hi}] must give a finite oscillation count")
 
     def integrand(g: np.ndarray, w: np.ndarray) -> np.ndarray:
         g3 = g**3

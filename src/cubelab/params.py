@@ -166,9 +166,12 @@ def best_rational(alpha: float, q_max: int) -> Rational:
     Walks the continued-fraction convergents of alpha (taken exactly, as the
     dyadic rational the float represents) plus the final semiconvergent that
     still fits under q_max.  Ties break toward smaller q, then smaller a.
+    alpha must be finite.
     """
     if q_max < 1:
         raise PreconditionError(f"q_max must be >= 1, got {q_max}")
+    if not math.isfinite(alpha):
+        raise PreconditionError(f"alpha must be finite, got {alpha}")
     x = Fraction(alpha)
 
     candidates: list[tuple[int, int]] = []

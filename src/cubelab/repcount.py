@@ -20,7 +20,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from cubelab.expsums import MAIN_TERM_CONSTANT, singular_series_values
+from cubelab.expsums import _float_power, count_ratios, main_terms, singular_series_values
 from cubelab.genfun import spec_from_params
 from cubelab.params import (
     Parameters,
@@ -71,14 +71,6 @@ def _snap_to_rational(theta: float) -> Fraction | None:
     if abs(frac - Fraction(theta)) <= 4 * Fraction(math.ulp(theta)):
         return frac
     return None
-
-
-def _float_power(n: int, theta: float) -> float:
-    """float(n) ** theta; past the float range a PreconditionError, not an OverflowError."""
-    try:
-        return float(n) ** theta
-    except OverflowError:
-        raise PreconditionError(f"{n}^{theta} overflows a float") from None
 
 
 def _check_theta(n_max: int, theta: float) -> None:
@@ -155,8 +147,6 @@ def _window_counts(N_lo: int, N_hi: int, theta: float, low: int = 1) -> np.ndarr
     array; each run of constant floor(n^theta) matches its small-cube pair
     sums against it, in parts of about _MATCH_CHUNK matches.
     """
-    if N_hi - N_lo > _SIZE_CAP:
-        raise ResourceGuardError(f"window width {N_hi - N_lo} exceeds the size cap {_SIZE_CAP}")
     counts = np.zeros(N_hi - N_lo, dtype=np.int64)  # index n - (N_lo + 1)
     # A minicube above the cube root of n - 3 low^3 has no partners.
     segments = _bound_segments(N_lo, N_hi, theta, integer_cube_root(N_hi - 3 * low**3))
@@ -296,10 +286,12 @@ def _bound_segments(n_lo: int, n_hi: int, theta: float, cap: int):
 def batch_scan(N_lo: int, N_hi: int, theta: float, Q_max: int = 0) -> ScanResult:
     """Count every n in (N_lo, N_hi] against one sorted two-cube sum array.
 
-    Q_max > 0 adds the predicted main term (truncated singular series times
-    the archimedean factor) and per-n ratios.  The exceptional summary
-    counts n with no representation at all.  N_hi must be below 2^63 (the
-    window is int64), and theta is checked as minicube_bound checks it.
+    Q_max > 0 adds the truncated series (singular_series_values), the main
+    term (expsums.main_terms) and the per-n ratios (expsums.count_ratios),
+    all before the count, so their guards trip before it.  The exceptional
+    summary counts n with no representation at all.  N_hi must be below
+    2^63 (the window is int64), and theta is checked as minicube_bound
+    checks it.
 
     ``ratios`` and ``mean_ratio`` divide by that truncated-series main term,
     which is <= 0 at dozens of n per window (a truncation of the
@@ -312,15 +304,17 @@ def batch_scan(N_lo: int, N_hi: int, theta: float, Q_max: int = 0) -> ScanResult
         raise PreconditionError(f"N_hi must be below 2^63, the int64 limit, got {N_hi}")
     _check_theta(N_hi, theta)
     width = N_hi - N_lo
-    counts = _window_counts(N_lo, N_hi, theta)
+    if width > _SIZE_CAP:
+        raise ResourceGuardError(f"window width {width} exceeds the size cap {_SIZE_CAP}")
     ns = np.arange(N_lo + 1, N_hi + 1, dtype=np.int64)
     series = predicted = ratios = None
     mean_ratio = median_ratio = None
     if Q_max >= 1:
         series = singular_series_values(ns, Q_max)
-        predicted = MAIN_TERM_CONSTANT * series * ns.astype(np.float64) ** (2 * theta - 1 / 3)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            ratios = np.where(predicted != 0.0, counts / predicted, np.nan)
+        predicted = main_terms(ns, series, theta)
+    counts = _window_counts(N_lo, N_hi, theta)
+    if predicted is not None:
+        ratios = count_ratios(counts, predicted)
         finite = ratios[np.isfinite(ratios)]
         if len(finite):
             mean_ratio = float(finite.mean())

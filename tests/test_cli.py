@@ -203,6 +203,22 @@ class TestExitCodes:
         assert main(list(argv)) == 2
         assert "precondition violation" in capsys.readouterr().err
 
+    def test_predict_qmax_zero_is_2_before_any_count(self, capsys, monkeypatch):
+        def no_count(*_):
+            raise AssertionError("counting started")
+
+        monkeypatch.setattr("cubelab.experiments.count_r", no_count)
+        assert main(["predict", "--theta", "0.3", "--n", "1000", "--qmax", "0"]) == 2
+        assert "Q_max" in capsys.readouterr().err
+
+    def test_expsum_qmax_past_the_cap_is_3_at_once(self, capsys, monkeypatch):
+        def no_tables(*_):
+            raise AssertionError("a table was built")
+
+        monkeypatch.setattr("cubelab.expsums.series_coefficient_table", no_tables)
+        assert main(["expsum", "--n", "5", "--qmax", "100000000"]) == 3
+        assert "series modulus cap" in capsys.readouterr().err
+
     def test_numerical_nonconvergence_is_4(self, capsys):
         # An impossible oscillatory-integral tolerance exhausts the panel
         # budget inside the arc model.

@@ -1,12 +1,15 @@
 import math
 
+import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cubelab import experiments
 from cubelab.arcs import arc_membership, m_dissection
 from cubelab.experiments import _sample_points, predict_table, residual_sweep
+from cubelab.expsums import main_term
+from cubelab.repcount import batch_scan
 from cubelab.params import PreconditionError, ResourceGuardError, derive_parameters
 
 
@@ -108,3 +111,27 @@ class TestPredictTable:
                 MAIN_TERM_CONSTANT * series * n ** (2 * 0.3 - 1 / 3), rel=1e-12
             )
             assert row["exceptional"] == int(row["count"] == 0)
+
+    @settings(max_examples=20, deadline=None)
+    @given(N_lo=st.integers(3, 2 * 10**5), width=st.integers(1, 40),
+           theta=st.floats(0.05, 0.5), Q_max=st.integers(1, 300),
+           picks=st.lists(st.integers(0, 10**6), min_size=1, max_size=6))
+    @example(N_lo=10**5, width=30, theta=math.pi / 10, Q_max=200, picks=[0, 7, 29])  # near-tie
+    @example(N_lo=1000, width=20, theta=1 / 6, Q_max=50, picks=[3, 3, 19])  # zero exponent
+    @example(N_lo=140, width=20, theta=0.3, Q_max=2000, picks=[7, 12])  # S(148; 2000) < 0
+    def test_rows_equal_batch_scan_entries(self, N_lo, width, theta, Q_max, picks):
+        # Both paths and main_term share expsums.main_terms and count_ratios;
+        # predict_table's per-n series has the vectorised series' bits.
+        scan = batch_scan(N_lo, N_lo + width, theta, Q_max=Q_max)
+        ns = sorted(N_lo + 1 + k % width for k in picks)
+        rows = predict_table(ns, theta, Q_max)
+        idx = [n - N_lo - 1 for n in ns]
+        fields = {"count": scan.counts, "series": scan.series, "main_term": scan.predicted,
+                  "ratio": scan.ratios, "exceptional": (scan.counts == 0).astype(np.int64)}
+        for key, column in fields.items():
+            got = np.array([row[key] for row in rows], dtype=column.dtype)
+            assert got.tobytes() == column[idx].tobytes(), key  # NaN-aware, bit for bit
+        mains = np.array([main_term(n, theta, Q_max) for n in ns])
+        assert mains.tobytes() == scan.predicted[idx].tobytes()
+        for row in rows:  # signed wherever the main term is nonzero, NaN only at 0
+            assert math.isnan(row["ratio"]) == (row["main_term"] == 0.0), row

@@ -23,7 +23,7 @@ from cubelab.expsums import (
     singular_series_truncated,
     singular_series_values,
 )
-from cubelab.params import PreconditionError
+from cubelab.params import PreconditionError, ResourceGuardError
 
 
 def _gauss_sum_brute(q: int, a: int) -> complex:
@@ -54,6 +54,16 @@ class TestCubicGaussSum:
                 assert cubic_gauss_sum(q, a) == pytest.approx(
                     _gauss_sum_brute(q, a), abs=1e-9 * q
                 )
+
+    def test_modulus_past_the_cap_is_a_resource_guard_before_any_table(self, monkeypatch):
+        def no_tables(*_):
+            raise AssertionError("a length-q array was built")
+
+        monkeypatch.setattr(expsums, "gauss_sum_table", no_tables)
+        monkeypatch.setattr(expsums, "cube_spectrum", no_tables)
+        for q in (expsums._DENSITY_MODULUS_CAP + 1, 2**63 - 1, 10**30):
+            with pytest.raises(ResourceGuardError, match="modulus cap"):
+                cubic_gauss_sum(q, 1)
 
     def test_full_sum_at_divisible_a(self):
         for q in (1, 2, 5, 12):
@@ -268,6 +278,30 @@ class TestRunPath:
         for ns in ([2**63], [5, 2**63], [2**70]):
             with pytest.raises(PreconditionError, match="int64"):
                 f(ns)
+
+
+class TestSeriesModulusCap:
+    def test_cap_covers_the_drawn_runs_and_the_cache_holds_it(self):
+        # TestRunPath draws Q_max up to 2500; a walk q = 1..Q_max past the
+        # cache size would evict every table before its next use.
+        assert 2500 <= expsums._Q_MAX_CAP
+        assert expsums.series_coefficient_table.cache_info().maxsize >= expsums._Q_MAX_CAP
+
+    def test_past_the_cap_is_a_resource_guard_before_any_table(self, monkeypatch):
+        def no_tables(*_):
+            raise AssertionError("a table was built")
+
+        monkeypatch.setattr(expsums, "series_coefficient_table", no_tables)
+        too_big = expsums._Q_MAX_CAP + 1
+        for call in (lambda: singular_series_values(np.array([5]), too_big),
+                     lambda: singular_series_values(np.array([5]), 10**8),
+                     lambda: singular_series_truncated(5, too_big),
+                     lambda: singular_series_truncated(5, 10**8),
+                     lambda: series_coefficient(too_big, 5),
+                     lambda: series_coefficient(2**63, 5),
+                     lambda: main_term(100, 0.3, 10**8)):
+            with pytest.raises(ResourceGuardError, match="series modulus cap"):
+                call()
 
 
 class TestLocalDensity:

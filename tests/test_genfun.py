@@ -7,6 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from cubelab import genfun
 from cubelab.arcs import rho_kernel, sigma_kernel
 from cubelab.expsums import cubic_gauss_sum
 from cubelab.genfun import (
@@ -336,6 +337,20 @@ class TestOscillatoryIntegrals:
             w_integral(0.1, 1.0, tol=0.0)
         with pytest.raises(PreconditionError):
             w_integral(0.1, 1.0, tol=math.nan)
+
+    @pytest.mark.parametrize("integral, beta, Z", [
+        (v_integral, 1e308, 1.0), (v_integral, math.inf, 1.0), (v_integral, math.nan, 1.0),
+        (v_integral, 0.1, math.nan), (v_integral, 0.1, 1e200), (w_integral, 0.1, math.inf),
+        (w_integral, -math.inf, 1.0),
+    ])
+    def test_non_finite_oscillation_is_a_precondition_before_any_node(
+            self, monkeypatch, integral, beta, Z):
+        def no_nodes(*_):
+            raise AssertionError("quadrature started")
+
+        monkeypatch.setattr(genfun, "_gauss_legendre", no_nodes)
+        with pytest.raises(PreconditionError, match="finite oscillation count"):
+            integral(beta, Z)
 
 
 class TestKernels:

@@ -175,6 +175,11 @@ class TestBestRational:
         with pytest.raises(PreconditionError):
             best_rational(0.5, 0)
 
+    @pytest.mark.parametrize("alpha", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite_alpha(self, alpha):
+        with pytest.raises(PreconditionError, match="finite"):
+            best_rational(alpha, 5)
+
 
 class TestRational:
     def test_normalization_enforced(self):

@@ -12,6 +12,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from cubelab.arcs import mean_value_grid, moment_integrand
+from cubelab.expsums import main_term
 from cubelab.genfun import bilinear_spec, interval_spec, set_spec
 import cubelab.repcount as repcount
 from cubelab.params import PreconditionError, ResourceGuardError, derive_parameters
@@ -91,12 +92,23 @@ class TestMinicubeBound:
 
         monkeypatch.setattr(repcount, "_window_counts", no_work)
         monkeypatch.setattr(experiments, "count_r", no_work)
+        monkeypatch.setattr(experiments, "singular_series_truncated", no_work)
         for call in (lambda: count_r(100, 155.3), lambda: batch_scan(4, 100, 155.3),
                      lambda: experiments.predict_table([100], 155.3, 10),
                      lambda: experiments.predict_table([100], 100.0, 10),  # n^(2 theta - 1/3)
+                     lambda: batch_scan(4, 100, 100.0, Q_max=10),
+                     lambda: main_term(100, 200.0, 10),
                      lambda: minicube_bound(100, 200.0)):
             with pytest.raises(PreconditionError, match="overflows a float"):
                 call()
+        # At 1e308 theta is finite but 2 theta - 1/3 is not, and 100.0 ** inf
+        # does not raise.
+        for theta in (math.nan, math.inf, 1e308):
+            for call in (lambda: count_r(100, theta), lambda: batch_scan(4, 100, theta, Q_max=10),
+                         lambda: experiments.predict_table([100], theta, 10),
+                         lambda: main_term(100, theta, 10)):
+                with pytest.raises(PreconditionError):
+                    call()
 
     def test_exact_rational_paths(self):
         # theta snapped to 1/3, 1/4, 1/5, 3/10: bound is the exact root.

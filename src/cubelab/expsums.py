@@ -8,12 +8,24 @@ every j/M).  The series coefficients use the normalized fourth power
 +4 is what the surrounding arithmetic forces (and what the truncation
 diagnostics confirm).
 
+Most series tables are identically zero, and none of those is built.  If
+p = 3 or p = 2 (mod 3), x -> x^3 permutes Z/p, so S(p, a) = 0 for p not
+dividing a, and the prime-power recursion S(p^(3j+1), a) = p^(2j) S(p, a)
+makes every S(p^(3j+1), a) with p not dividing a vanish too (Vaughan, The
+Hardy-Littlewood Method, 2nd ed., 1997, ch. 4).  S(q, a) factors over the
+coprime prime powers of q, so a q divisible by such a p to an exponent
+= 1 (mod 3) has S(q, a) = 0 at every coprime a, and A(q, .) = 0.
+_series_vanishes is that rule and _series_moduli(Q_max) the q it leaves:
+433 of q <= 2000, 834 of q <= 4096.  Built anyway, the skipped tables held
+only FFT noise below 1.3e-63 and the kept ones reach at least 1.26e-4.
+
 Only the float64 A(q, .) tables (series_coefficient_table) and the Euler
 density tables (_euler_factor_table) stay cached.  The series take Q_max
-<= _Q_MAX_CAP, and the table cache holds that many tables, so a walk
-q = 1..Q_max never evicts a table before its next use.  The spectrum and
-cube-residue vectors a table is built from are freed after the build;
-gauss_sum_table keeps a small cache for cubic_gauss_sum's few moduli.
+<= _Q_MAX_CAP, and the table cache holds that many tables, so a walk over
+_series_moduli(Q_max) never evicts a table before its next use.  The
+spectrum and cube-residue vectors a table is built from are freed after
+the build; gauss_sum_table keeps a small cache for cubic_gauss_sum's few
+moduli.
 
 Both vectorised series apply one length-q table per modulus to every n.
 When the n are a run of consecutive integers (a window), _apply_table
@@ -60,6 +72,7 @@ MAIN_TERM_CONSTANT: float = math.gamma(4.0 / 3.0) ** 2 / math.gamma(2.0 / 3.0)
 
 _DENSITY_MODULUS_CAP = 10**6
 _Q_MAX_CAP = 4096  # largest series modulus
+_WEIGHT_MODULUS_CAP = 10**12  # multiplicative_weight's trial division: <= 10^6 steps
 
 
 @dataclass(frozen=True)
@@ -174,10 +187,13 @@ def multiplicative_weight(q: int) -> float:
     """Multiplicative majorant w(q) of |S(q,a)|/q on coprime classes.
 
     On a prime power p^(3u+v): 3 * p^(-u-1/2) when v = 1, p^(-u-1) when
-    v in {2, 3}; w(1) = 1.
+    v in {2, 3}; w(1) = 1.  q <= _WEIGHT_MODULUS_CAP (10^12), checked
+    before the trial division that factors q.
     """
     if q < 1:
         raise PreconditionError(f"q must be positive, got {q}")
+    if q > _WEIGHT_MODULUS_CAP:
+        raise ResourceGuardError(f"q={q} exceeds the weight modulus cap {_WEIGHT_MODULUS_CAP}")
     value = 1.0
     for p, e in _factorize(q):
         u, v = divmod(e - 1, 3)
@@ -189,15 +205,35 @@ def multiplicative_weight(q: int) -> float:
     return value
 
 
+def _series_vanishes(q: int) -> bool:
+    """True when A(q, .) is identically zero (see the module docstring).
+
+    That is when some prime p = 3 or p = 2 (mod 3) divides q to an
+    exponent e = 1 (mod 3): then S(q, a) = 0 at every a coprime to q.
+    """
+    return any(e % 3 == 1 and (p == 3 or p % 3 == 2) for p, e in _factorize(q))
+
+
+@lru_cache(maxsize=8)
+def _series_moduli(Q_max: int) -> tuple[int, ...]:
+    """The q <= Q_max whose table is not identically zero, in ascending order."""
+    return tuple(q for q in range(1, Q_max + 1) if not _series_vanishes(q))
+
+
 @lru_cache(maxsize=_Q_MAX_CAP)
 def series_coefficient_table(q: int) -> np.ndarray:
     """A(q, m) for m = 0..q-1: sum over coprime a of (S(q,a)/q)^4 e(-a m/q).
 
-    The table is one FFT of the masked fourth-power vector; the imaginary
-    parts must vanish (conjugate a <-> q-a pairing) and are checked before
-    the real coercion.  The cache holds every table up to _Q_MAX_CAP:
-    sum 8q bytes, 16 MB after a series at Q_max = 2000 and 67 MB at 4096.
+    Exact zeros, with no FFT, where _series_vanishes(q): every coprime
+    S(q, a) is 0 there (the module docstring has the proof).  Otherwise the
+    table is one FFT of the masked fourth-power vector; the imaginary parts
+    must vanish (conjugate a <-> q-a pairing) and are checked before the
+    real coercion.  The series walk only the q of _series_moduli, so after
+    a series at Q_max = 2000 the cache holds 433 tables (3.2 MB), and 834
+    (12.5 MB) at Q_max = 4096.
     """
+    if _series_vanishes(q):
+        return np.zeros(q)
     weights = (cube_spectrum(q) / q) ** 4
     coprime = np.ones(q, dtype=bool)  # for q = 1 this admits a = 0, i.e. the a = q term
     for p, _ in _factorize(q):
@@ -233,16 +269,19 @@ def _check_q_max(Q_max: int) -> None:
 def singular_series_truncated(n: int, Q_max: int) -> SeriesReport:
     """Partial sums of the four-cube singular series up to modulus Q_max.
 
+    One partial_sums entry per q = 1..Q_max; A is 0.0 at the q that
+    _series_moduli leaves out, whose tables are never built.
     1 <= Q_max <= _Q_MAX_CAP (4096); the value has the bits of
     singular_series_values at the same n.
     """
     _check_q_max(Q_max)
     if n < 1:
         raise PreconditionError(f"n must be positive, got {n}")
+    live = set(_series_moduli(Q_max))
     partials = []
     running = 0.0
     for q in range(1, Q_max + 1):
-        a_qn = float(series_coefficient_table(q)[n % q])
+        a_qn = float(series_coefficient_table(q)[n % q]) if q in live else 0.0
         running += a_qn
         partials.append((q, a_qn, running))
     window = [total for q, _, total in partials if q > Q_max / 2]
@@ -306,16 +345,17 @@ def singular_series_values(ns: np.ndarray, Q_max: int) -> np.ndarray:
     in the depressed classes n = +-4 (mod 9).  singular_series_euler is the
     accurate evaluation.
 
-    The tables are added in order q = 1..Q_max.  A run of consecutive n (as
-    batch_scan passes) takes each table as a periodic run; any other array
-    gathers per-n residues.  Both paths give the same bits.  Every n must
-    be positive and below 2^63 (int64), and 1 <= Q_max <= _Q_MAX_CAP (4096).
+    The tables of _series_moduli(Q_max) are added in ascending q; the
+    others are identically zero.  A run of consecutive n (as batch_scan
+    passes) takes each table as a periodic run; any other array gathers
+    per-n residues.  Both paths give the same bits.  Every n must be
+    positive and below 2^63 (int64), and 1 <= Q_max <= _Q_MAX_CAP (4096).
     """
     _check_q_max(Q_max)
     ns = _positive_int64(ns)
     first = _run_start(ns)
     out = np.zeros(len(ns), dtype=np.float64)
-    for q in range(1, Q_max + 1):
+    for q in _series_moduli(Q_max):
         _apply_table(out, series_coefficient_table(q), ns, first, np.add)
     return out
 
@@ -341,14 +381,18 @@ def local_density(p: int, n: int, k_max: int) -> LocalDensity:
     """
     if n < 1:
         raise PreconditionError(f"n must be positive, got {n}")
-    if p < 2 or _factorize(p) != ((p, 1),):
-        raise PreconditionError(f"p must be prime, got {p}")
     if k_max < 1:
         raise PreconditionError(f"k_max must be >= 1, got {k_max}")
-    if p**k_max > _DENSITY_MODULUS_CAP:
+    if p < 2:
+        raise PreconditionError(f"p must be prime, got {p}")
+    # 2^20 > the cap, so p^min(k_max, 20) passes it exactly when p^k_max does;
+    # checked before _factorize's trial division.
+    if p ** min(k_max, 20) > _DENSITY_MODULUS_CAP:
         raise PreconditionError(
-            f"p^k_max = {p**k_max} exceeds the modulus cap {_DENSITY_MODULUS_CAP}"
+            f"p^k_max = {p}^{k_max} exceeds the modulus cap {_DENSITY_MODULUS_CAP}"
         )
+    if _factorize(p) != ((p, 1),):
+        raise PreconditionError(f"p must be prime, got {p}")
 
     stable_level = 2 if p == 3 else 1
     m = n

@@ -150,6 +150,17 @@ class TestMultiplicativeWeight:
             expected = 3 * 3**-1.5  # 3u+v = 4 with u=1, v=1
         assert multiplicative_weight(q) == pytest.approx(expected, rel=1e-12)
 
+    def test_past_the_cap_is_a_resource_guard_before_any_division(self, monkeypatch):
+        assert multiplicative_weight(10**12) == pytest.approx(1e-4, rel=1e-12)  # 2^12 5^12
+
+        def no_division(*_):
+            raise AssertionError("trial division started")
+
+        monkeypatch.setattr(expsums, "_factorize", no_division)
+        for q in (10**12 + 1, 10**14 + 31, 2**63 - 25):
+            with pytest.raises(ResourceGuardError, match="weight modulus cap"):
+                multiplicative_weight(q)
+
     def test_multiplicative(self):
         for q1 in range(1, 40):
             for q2 in range(1, 40):
@@ -280,6 +291,70 @@ class TestRunPath:
                 f(ns)
 
 
+def _fft_series_table(q: int) -> np.ndarray:
+    """A(q, .) by the FFT of the masked fourth powers at every q, built here, uncached."""
+    weights = (expsums.cube_spectrum(q) / q) ** 4
+    coprime = np.gcd(np.arange(q), q) == 1
+    return np.fft.fft(np.where(coprime, weights, 0.0)).real
+
+
+# A window from _RUNS, or an arbitrary array of n < 2^63 at Q_max <= 2500.
+_SERIES_CASES = st.one_of(
+    st.tuples(st.integers(1, 10**12), _RUNS).map(
+        lambda t: (t[1][0], np.arange(t[0], t[0] + t[1][1], dtype=np.int64))),
+    st.tuples(st.integers(1, 2500), st.lists(st.integers(1, 2**63 - 1), min_size=1, max_size=200)
+              .map(lambda ns: np.array(ns, dtype=np.int64))),
+)
+
+
+class TestSeriesSkip:
+    """The q whose A(q, .) vanishes identically are never built or added."""
+
+    def test_rule_matches_the_fft_tables(self):
+        # Skipped tables hold FFT noise below 1.3e-63, kept ones reach 1.26e-4.
+        live = []
+        for q in range(1, expsums._Q_MAX_CAP + 1):
+            vanishes = float(np.max(np.abs(_fft_series_table(q)))) < 1e-40
+            assert expsums._series_vanishes(q) == vanishes, q
+            if not vanishes:
+                live.append(q)
+        assert expsums._series_moduli(expsums._Q_MAX_CAP) == tuple(live)
+        assert (len(expsums._series_moduli(2000)), len(live)) == (433, 834)
+
+    @settings(max_examples=15, deadline=None)
+    @given(case=_SERIES_CASES)
+    @example(case=(2000, np.arange(108_500_001, 108_510_001)))  # the bench window
+    def test_values_equal_the_sum_over_every_fft_table(self, case):
+        Q_max, ns = case
+        want = np.zeros(len(ns))
+        for q in range(1, Q_max + 1):
+            want += _fft_series_table(q)[ns % q]
+        assert singular_series_values(ns, Q_max).tobytes() == want.tobytes()
+
+    def test_skipped_q_never_reach_the_table_builder(self, monkeypatch):
+        Q_max = 300
+        live = expsums._series_moduli(Q_max)
+        seen = []
+        table = expsums.series_coefficient_table
+        monkeypatch.setattr(expsums, "series_coefficient_table", lambda q: seen.append(q) or table(q))
+        singular_series_values(np.arange(1, 50), Q_max)
+        singular_series_values(np.array([10**12, 7, 3]), Q_max)
+        rep = singular_series_truncated(11, Q_max)
+        assert seen == list(live) * 3
+        assert [q for q, a, _ in rep.partial_sums if a == 0.0 and q not in live] == [
+            q for q in range(1, Q_max + 1) if q not in live]
+
+        def no_fft(*_):
+            raise AssertionError("a vanishing table was built")
+
+        monkeypatch.setattr(expsums, "cube_spectrum", no_fft)
+        for q in (2, 3, 6, 16, 24, 81, 250, 4095):
+            assert expsums._series_vanishes(q)
+            zeros = table.__wrapped__(q)
+            assert len(zeros) == q and not np.any(zeros)
+            assert series_coefficient(q, 5) == 0.0
+
+
 class TestSeriesModulusCap:
     def test_cap_covers_the_drawn_runs_and_the_cache_holds_it(self):
         # TestRunPath draws Q_max up to 2500; a walk q = 1..Q_max past the
@@ -375,6 +450,15 @@ class TestLocalDensity:
         with pytest.raises(PreconditionError):
             local_density(101, 1, 3)  # 101^3 > 10^6
 
+    def test_modulus_cap_before_the_primality_test(self, monkeypatch):
+        def no_division(*_):
+            raise AssertionError("trial division started")
+
+        monkeypatch.setattr(expsums, "_factorize", no_division)
+        for p, k_max in ((2**63 - 25, 1), (2**61 - 1, 10**9), (10**6 + 3, 1), (2, 20)):
+            with pytest.raises(PreconditionError, match="modulus cap"):
+                local_density(p, 1, k_max)
+
     def test_rejects_composite(self):
         with pytest.raises(PreconditionError):
             local_density(6, 1, 1)
@@ -412,13 +496,13 @@ def _retained_mb(fn) -> float:
 
 
 class TestResidentMemory:
-    # Only the A(q, .) tables (16 MB of float64 for q <= 2000) and the Euler
-    # density tables (about 40 MB) stay cached; the Gauss-sum and
-    # cube-residue vectors they are built from do not.
+    # Only the A(q, .) tables that are not identically zero (433 of q <= 2000,
+    # 3.2 MB of float64) and the Euler density tables (about 40 MB) stay
+    # cached; the Gauss-sum and cube-residue vectors they are built from do not.
     NS = np.arange(10**8, 10**8 + 10**4)
 
     def test_series_keeps_only_coefficient_tables(self):
-        assert _retained_mb(lambda: singular_series_values(self.NS, 2000)) <= 20.0
+        assert _retained_mb(lambda: singular_series_values(self.NS, 2000)) <= 5.0
 
     def test_euler_keeps_only_density_tables(self):
         assert _retained_mb(lambda: singular_series_euler(self.NS)) <= 45.0
